@@ -4,17 +4,17 @@
 
 Run it from the root of a checkout; it imports the package from ./src and
 writes only under perfbench/out.  A run times the workload's set-up, runs
-whole rounds of the workload for at least --seconds seconds, fills the
-pauses between a round's operations with probe calls (workloads.py) and
-set-ups in fresh interpreters, checks the program's outputs, and prints as
-its last line one JSON object with the keys "correct", "attempted", "failed"
-and "metrics".
+whole rounds of the workload for about --seconds seconds (see run_rounds),
+times the set-up again in fresh interpreters, checks the program's outputs,
+and prints as its last line one JSON object with the keys "correct",
+"attempted", "failed" and "metrics".
 
 With --trace 0 the metrics are the end-to-end ones of BENCHMARK.json, timed
-with tracing off.  With --trace 1 the rounds alternate untraced and traced,
-the traced ones record spans around the program's public functions (see
-tracing.py), and the metrics are the per-layer ones; the spans are written
-to perfbench/out/trace-<workload>-<seed>.json.
+with tracing off: set-up, round time and peak memory, each measured on the
+workload's own operations.  With --trace 1 the rounds alternate untraced and
+traced, the traced ones record spans around the program's public functions
+(see tracing.py), and the metrics are the per-layer ones; the spans are
+written to perfbench/out/trace-<workload>-<seed>.json.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(HERE, "out")
 WORKLOAD_NAMES = ("oracle_canon", "simulate_canon", "solve_batch", "cli_session")
 SETUP_SAMPLES = 5          # this process plus four fresh ones
-PROBE_SHARE = 1.0          # probe time, as a share of the workload's own time
 IMPORT_SAMPLES = 3
 CONTACT_GAP_REPEATS = 20
 CALL_OVERHEAD_REPEATS = 30
@@ -96,72 +95,45 @@ def import_times():
     return persuade_us / 1e6, scipy_us / 1e6
 
 
-def no_pause(seconds):
-    pass
+def run_rounds(bench, seconds, tracer):
+    """Whole rounds for about `seconds`.
 
-
-def run_rounds(bench, seconds, tracer, pause=no_pause):
-    """Whole rounds until `seconds` have passed.
-
-    `pause(seconds)` runs after each of a round's operations.  A traced run
-    alternates untraced and traced rounds and needs one of each to measure
-    the tracing overhead.  Returns the rounds and which of them were traced.
+    Another round starts while at least half of a typical round (the median
+    so far) still fits, so the rounds end within half a round of `seconds`
+    whatever their length.  A traced run alternates untraced and traced
+    rounds and needs one of each to measure the tracing overhead.  Returns
+    the rounds and which of them were traced.
     """
-    rounds, traced = [], []
+    rounds, traced, spans = [], [], []
     least = max(bench.min_rounds, 2 if tracer is not None else 1)
     start = now()
-    while len(rounds) < least or now() - start < seconds:
+    while len(rounds) < least or now() - start + statistics.median(spans) / 2 < seconds:
         on = tracer is not None and len(rounds) % 2 == 1
         if on:
             tracer.install()
+        t0 = now()
         try:
-            rounds.append(bench.run_round(pause))
+            rounds.append(bench.run_round())
         finally:
             if on:
                 tracer.uninstall()
+        spans.append(now() - t0)
         traced.append(on)
     return rounds, traced
 
 
-def measure_end_to_end(workloads, bench, args, setup_s):
-    """Every end-to-end metric: the workload's own from its rounds, the rest
-    from probes.
-
-    The pauses between a round's operations are filled with probe calls and
-    set-ups in fresh interpreters, for PROBE_SHARE of the operations' time,
-    so that both are spread over the whole run like the rounds themselves.
-    """
-    probes = workloads.Probes([key for key in workloads.PROBES
-                               if key not in bench.own_metrics], args.seed)
-    setup_samples = [setup_s]
-    debt = 0.0
-
-    def pause(seconds):
-        nonlocal debt
-        debt += PROBE_SHARE * seconds
-        while debt > 0.0:
-            t0 = now()
-            probes.step()
-            if len(setup_samples) < SETUP_SAMPLES:
-                setup_samples.append(setup_in_fresh_process(args))
-            debt -= now() - t0
-
-    rounds, _ = run_rounds(bench, args.seconds, None, pause)
+def measure_end_to_end(bench, args, setup_s):
+    """The end-to-end metrics, from the workload's own rounds and set-ups."""
+    rounds, _ = run_rounds(bench, args.seconds, None)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    while len(setup_samples) < SETUP_SAMPLES:
-        setup_samples.append(setup_in_fresh_process(args))
+    setup_samples = [setup_s] + [setup_in_fresh_process(args)
+                                 for _ in range(SETUP_SAMPLES - 1)]
     metrics = {
         "setup_s": statistics.median(setup_samples),
         "wall_s": statistics.median(r.wall for r in rounds),
         "peak_rss_mb": peak_rss_mb,
     }
-    for key in rounds[0].parts:
-        metrics[key] = statistics.median(r.parts[key] for r in rounds)
-    for key in rounds[0].work:
-        metrics[key] = statistics.median(r.work[key] / r.wall for r in rounds)
-    probed, errors = probes.finish()
-    metrics.update(probed)
-    return rounds, metrics, errors
+    return rounds, metrics
 
 
 def thread_count():
@@ -192,6 +164,11 @@ def per_layer(workloads, bench, tracer, rounds, traced, args):
 
     n_traced = sum(traced)
     metrics = tracing.layer_metrics(tracer.spans, n_traced)
+    # Timed parts of the untraced rounds: tracing slows the per-node policy
+    # loop far more than value iteration, so their split is read untraced.
+    plain_rounds = [r for r, on in zip(rounds, traced) if not on]
+    for key in ("oracle.vi_s", "oracle.policy_eval_s"):
+        metrics[key] = statistics.median(r.parts.get(key, 0.0) for r in plain_rounds)
     imports = [import_times() for _ in range(IMPORT_SAMPLES)]
     metrics["import.persuade_s"] = statistics.median(t[0] for t in imports)
     metrics["import.scipy_s"] = statistics.median(t[1] for t in imports)
@@ -229,7 +206,7 @@ def per_layer(workloads, bench, tracer, rounds, traced, args):
     metrics["sim.call_overhead_ms"] = statistics.median(samples) * 1e3
 
     metrics["cli.bytes_written"] = statistics.median(getattr(bench, "bytes_written", [0]))
-    plain = [r.wall for r, on in zip(rounds, traced) if not on]
+    plain = [r.wall for r in plain_rounds]
     spanned = [r.wall for r, on in zip(rounds, traced) if on]
     metrics["trace.wall_s"] = statistics.median(spanned)
     metrics["trace.overhead_s"] = statistics.median(spanned) - statistics.median(plain)
@@ -276,8 +253,8 @@ def main(argv=None):
             metrics = per_layer(workloads, bench, tracer, rounds, traced, args)
             wanted = spec["per_layer"]
         else:
-            rounds, metrics, errors = measure_end_to_end(workloads, bench, args, setup_s)
-            errors = bench.check() + errors
+            rounds, metrics = measure_end_to_end(bench, args, setup_s)
+            errors = bench.check()
             wanted = spec["end_to_end"]
     finally:
         bench.close()

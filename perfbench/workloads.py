@@ -1,4 +1,4 @@
-"""The benchmark's four workloads, their output checks, and the probes.
+"""The benchmark's four workloads and their output checks.
 
 A workload object is built once per run (its set-up), then runs whole rounds
 of the same operations; ``check`` inspects what the rounds produced and
@@ -20,7 +20,6 @@ import json
 import math
 import os
 import shutil
-import statistics
 import sys
 import tempfile
 import time
@@ -43,29 +42,17 @@ CANON_RAW = {
 }
 DP_DELTA = 1e-3
 DP_TOL = 1e-6
-# oracle_canon evaluates the two policies this many times per round: one
-# pair takes under a second, too short a stretch of this machine's drifting
-# speed to give a steady figure on its own.
-EVAL_REPEATS = 4
 ROUNDING = 1e-9          # slack for float rounding in shape and bound checks
 SIM_ALLOWANCE = 0.01     # the discretization allowance of A8
-PROBE_REPEATS = 3        # least number of calls of each probe in a run
 
 
 @dataclass
 class Round:
-    """One round of a workload: its wall time, timed parts and work counts.
-
-    ``parts`` holds seconds spent in named parts of the round; ``work`` holds
-    per-round amounts whose rate (amount / wall) is a metric.  Every workload
-    counts instances (problem instances carried through the round: one canon
-    instance, or each batch instance) and commands (top-level operations: a
-    CLI command, an oracle call, a simulate call, or a batch instance).
-    """
+    """One round of a workload: the seconds its operations took, the seconds
+    of named parts of it, and how many operations it attempted and failed."""
 
     wall: float
     parts: dict = field(default_factory=dict)
-    work: dict = field(default_factory=dict)
     attempted: int = 0
     failed: int = 0
 
@@ -75,17 +62,11 @@ def canon():
     return problem, solver.solve(problem)
 
 
-def timed(pause, fn, *args, **kwargs):
-    """Call fn, then pause(seconds it took); returns (seconds, result).
-
-    Between operations the run calls the probes (see Probes), so a round's
-    time is the sum of its operations' times, without the pauses.
-    """
+def timed(fn, *args, **kwargs):
+    """Call fn; returns (seconds it took, result)."""
     t0 = now()
     result = fn(*args, **kwargs)
-    seconds = now() - t0
-    pause(seconds)
-    return seconds, result
+    return now() - t0, result
 
 
 def dp_shape_errors(label, points, values):
@@ -149,37 +130,26 @@ def calibration_errors(label, bins):
 # --- oracle_canon --------------------------------------------------------------
 
 class OracleCanon:
-    """A2 plus A4: value iteration on the canon grid, then two policy values.
-
-    The policy pair is evaluated EVAL_REPEATS times; policy_eval_s is the
-    median pair.
-    """
+    """A2 plus A4: value iteration on the canon grid, then two policy values."""
 
     min_rounds = 1
-    own_metrics = ("vi_s", "policy_eval_s")
 
     def __init__(self, seed, workdir):
-        del seed, workdir  # the canon inputs are fixed; the seed drives the probes
+        del seed, workdir  # the canon inputs are fixed
         self.problem, self.solution = canon()
         self.grid = oracle.make_grid(self.problem, 2.5e-4, extra=self.solution.cutoffs)
         self.myopic = oracle.myopic_policy(self.problem)
         self.outputs = []
 
-    def run_round(self, pause):
-        vi_s, dp = timed(pause, oracle.value_iteration, self.problem, DP_DELTA, self.grid,
-                         tol=DP_TOL)
-        pairs = []
-        for _ in range(EVAL_REPEATS):
-            star_s, w_star = timed(pause, oracle.evaluate_policy_discrete, self.problem,
-                                   self.solution.policy, DP_DELTA, self.grid)
-            myopic_s, w_myopic = timed(pause, oracle.evaluate_policy_discrete, self.problem,
-                                       self.myopic, DP_DELTA, self.grid)
-            pairs.append(star_s + myopic_s)
+    def run_round(self):
+        vi_s, dp = timed(oracle.value_iteration, self.problem, DP_DELTA, self.grid, tol=DP_TOL)
+        star_s, w_star = timed(oracle.evaluate_policy_discrete, self.problem,
+                               self.solution.policy, DP_DELTA, self.grid)
+        myopic_s, w_myopic = timed(oracle.evaluate_policy_discrete, self.problem,
+                                   self.myopic, DP_DELTA, self.grid)
         self.outputs.append((dp.values, w_star.values, w_myopic.values))
-        calls = 1 + 2 * EVAL_REPEATS
-        return Round(vi_s + sum(pairs),
-                     {"vi_s": vi_s, "policy_eval_s": statistics.median(pairs)},
-                     {"instances_per_s": 1, "commands_per_s": calls}, calls, 0)
+        return Round(vi_s + star_s + myopic_s,
+                     {"oracle.vi_s": vi_s, "oracle.policy_eval_s": star_s + myopic_s}, 3, 0)
 
     def check(self):
         pts = self.grid.points
@@ -228,7 +198,6 @@ class SimulateCanon:
     """A8's simulation of sigma_star on canon, at a 1000-period horizon."""
 
     min_rounds = 1
-    own_metrics = ("path_steps_per_s",)
 
     def __init__(self, seed, workdir):
         del workdir
@@ -238,18 +207,15 @@ class SimulateCanon:
                         for p0 in SIM_BELIEFS]
         self.outputs = []
 
-    def run_round(self, pause):
+    def run_round(self):
         wall, results = 0.0, []
         for config in self.configs:
-            seconds, result = timed(pause, sim.simulate, self.problem, self.solution.policy,
-                                    config)
+            seconds, result = timed(sim.simulate, self.problem, self.solution.policy, config)
             wall += seconds
             results.append(result)
         self.outputs.append([(r.mean_discounted_payoff, r.std_error, r.tail_bound, _bins(r))
                              for r in results])
-        steps = sum(c.n_paths * c.horizon for c in self.configs)
-        return Round(wall, {}, {"path_steps_per_s": steps, "instances_per_s": 1,
-                                "commands_per_s": len(self.configs)}, len(self.configs), 0)
+        return Round(wall, {}, len(self.configs), 0)
 
     def check(self):
         out = []
@@ -340,14 +306,14 @@ def solve_instance(index, raw):
     return Solved(index, problem, solution, report, solution.value.value(READ_GRID))
 
 
-def solve_all(batch, pause):
+def solve_all(batch):
     """Run the operation over a batch.
 
-    Returns the seconds spent in it, the solved instances, the failures and
-    the number of warnings raised.
+    Returns the seconds spent in it, the solved instances and the failures.
+    Warnings (the edge instances' overflow) are recorded, not printed.
     """
     wall, solved, failures = 0.0, [], []
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
         for index, raw in enumerate(batch):
             t0 = now()
@@ -355,10 +321,8 @@ def solve_all(batch, pause):
                 solved.append(solve_instance(index, raw))
             except errors.PersuadeError as exc:
                 failures.append((index, f"{type(exc).__name__}: {exc}"))
-            seconds = now() - t0
-            wall += seconds
-            pause(seconds)
-    return wall, solved, failures, len(caught)
+            wall += now() - t0
+    return wall, solved, failures
 
 
 def solved_errors(label, item):
@@ -401,7 +365,6 @@ class SolveBatch:
     """A seeded batch of instances through parse, solve, verify and a value read."""
 
     min_rounds = 1
-    own_metrics = ()
 
     def __init__(self, seed, workdir):
         del workdir
@@ -412,18 +375,23 @@ class SolveBatch:
         self.batch = [batch[i] for i in order]
         self.edge_ids = {int(k) for k, i in enumerate(order) if i >= BATCH_REGULAR}
         self.check_rng = np.random.default_rng([seed, 10])
-        self.outputs = []
-        self.warnings = 0
+        self.first = None        # the first round's (solved, failures)
+        self.changed = False     # a later round gave other values
 
-    def run_round(self, pause):
-        wall, solved, failures, caught = solve_all(self.batch, pause)
-        self.outputs.append((solved, failures))
-        self.warnings += caught
-        n = len(self.batch)
-        return Round(wall, {}, {"instances_per_s": n, "commands_per_s": n}, n, len(failures))
+    def run_round(self):
+        wall, solved, failures = solve_all(self.batch)
+        # Only the first round's outputs are kept, so the run's memory does
+        # not grow with the number of rounds that fit in it.
+        if self.first is None:
+            self.first = (solved, failures)
+        else:
+            first = self.first[0]
+            self.changed |= [x.index for x in solved] != [x.index for x in first] or \
+                any(not np.array_equal(x.values, y.values) for x, y in zip(solved, first))
+        return Round(wall, {}, len(self.batch), len(failures))
 
     def check(self):
-        solved, failures = self.outputs[0]
+        solved, failures = self.first
         out = []
         for item in solved:
             out += solved_errors("solve_batch", item)
@@ -433,11 +401,8 @@ class SolveBatch:
         for index, message in unexpected:
             print(f"solve_batch: regular instance #{index} failed: {message}; "
                   f"instance {json.dumps(self.batch[index])}", file=sys.stderr)
-        for s, f in self.outputs[1:]:
-            if [x.index for x in s] != [x.index for x in solved] or \
-                    any(not np.array_equal(x.values, y.values) for x, y in zip(s, solved)):
-                out.append("solve_batch: rounds on the same inputs gave different values")
-                break
+        if self.changed:
+            out.append("solve_batch: rounds on the same inputs gave different values")
         return out
 
     def close(self):
@@ -468,7 +433,6 @@ class CliSession:
     """A scripted in-process session of persuade.cli.main calls."""
 
     min_rounds = 2   # the rerun check compares later rounds with the first
-    own_metrics = ()
 
     def __init__(self, seed, workdir):
         self.seed = seed
@@ -499,12 +463,12 @@ class CliSession:
         yield "sweep", ["sweep"] + cfg + ["--out", os.path.join(out, "sweep.csv")], \
             ["sweep.csv"]
 
-    def run_round(self, pause):
+    def run_round(self):
         out = tempfile.mkdtemp(prefix="round-", dir=self.dir)
         commands = list(self.session(out))
         stdout, wall = {}, 0.0
         for label, argv, _ in commands:
-            seconds, (code, text) = timed(pause, run_cli, argv)
+            seconds, (code, text) = timed(run_cli, argv)
             wall += seconds
             self.codes.append((label, code))
             stdout[label] = text
@@ -519,8 +483,7 @@ class CliSession:
         else:
             self.mismatches += [name for name in main if main[name] != self.first.get(name)]
             shutil.rmtree(out)
-        return Round(wall, {}, {"instances_per_s": 1, "commands_per_s": len(commands)},
-                     len(commands), 0)
+        return Round(wall, {}, len(commands), 0)
 
     def check(self):
         out = [f"cli_session: {label} exited {code}" for label, code in self.codes if code != 0]
@@ -601,98 +564,3 @@ WORKLOADS = {
     "cli_session": CliSession,
 }
 
-
-# --- probes --------------------------------------------------------------------
-# Every run reports every end-to-end metric.  vi_s, policy_eval_s and
-# path_steps_per_s belong to the layers that oracle_canon and simulate_canon
-# drive; on the other workloads they come from these small fixed probes of
-# the same layers, called in turn in the pauses between a round's
-# operations, outside wall_s.  This machine's speed drifts by 20-40% over
-# seconds to minutes, so the probes are spread over the whole run instead of
-# timed in one burst.
-
-def probe_vi(seed):
-    problem, solution = canon()
-    grid = oracle.make_grid(problem, 1e-3, extra=solution.cutoffs)
-
-    def run():
-        return oracle.value_iteration(problem, 0.01, grid, tol=DP_TOL)
-
-    def check(dp):
-        return dp_shape_errors("vi probe", grid.points, dp.values)
-    return run, lambda seconds: seconds, check
-
-
-def probe_policy_eval(seed):
-    problem, solution = canon()
-    grid = oracle.make_grid(problem, 1e-3, extra=solution.cutoffs)
-    myopic = oracle.myopic_policy(problem)
-
-    def run():
-        return [oracle.evaluate_policy_discrete(problem, policy, DP_DELTA, grid)
-                for policy in (solution.policy, myopic)]
-
-    def check(values):
-        w_star, w_myopic = values
-        out = []
-        sup = float(np.max(np.abs(w_star.values - solution.value.value(grid.points))))
-        if sup > 0.01:
-            out.append(f"policy_eval probe: sup|w_sigma_star - v_solver| = {sup:.3e} > 0.01")
-        if float(np.max(w_myopic.values - w_star.values)) > 0.01:
-            out.append("policy_eval probe: myopic beats sigma_star by more than 0.01")
-        return out
-    return run, lambda seconds: seconds, check
-
-
-def probe_paths(seed):
-    problem, solution = canon()
-    # One chunk, so one thread: the probe does not depend on the other core.
-    config = sim.SimConfig(delta=SIM_DELTA, horizon=400, n_paths=32768, seed=seed,
-                           initial_belief=0.62)
-
-    def run():
-        return sim.simulate(problem, solution.policy, config)
-
-    def check(res):
-        return sim_value_errors("sim probe", res.mean_discounted_payoff, res.std_error,
-                                res.tail_bound, problem.payoff.levels,
-                                float(solution.value.value(0.62)), optimal=True)
-    return run, lambda seconds: config.n_paths * config.horizon / seconds, check
-
-
-PROBES = {
-    "vi_s": probe_vi,
-    "policy_eval_s": probe_policy_eval,
-    "path_steps_per_s": probe_paths,
-}
-
-
-class Probes:
-    """The named probes, stepped one call each at a time."""
-
-    def __init__(self, keys, seed):
-        self.probes = {key: PROBES[key](seed) for key in keys}
-        self.times = {key: [] for key in keys}
-        self.last = {}
-
-    def step(self):
-        for key, (run, _, _) in self.probes.items():
-            t0 = now()
-            self.last[key] = run()
-            self.times[key].append(now() - t0)
-
-    def finish(self):
-        """The probes' metrics from their fastest calls, and failed checks.
-
-        A probe call is short, and on this machine a short call is slowed by
-        its neighbours far more often than it is sped up, so the fastest of
-        a run's calls varies much less from run to run than their median
-        (the practice of timeit).
-        """
-        while self.probes and min(map(len, self.times.values())) < PROBE_REPEATS:
-            self.step()
-        metrics, out = {}, []
-        for key, (_, to_metric, check) in self.probes.items():
-            metrics[key] = to_metric(min(self.times[key]))
-            out += check(self.last[key])
-        return metrics, out
