@@ -12,9 +12,7 @@ from .model import (
     Discounting,
     MarkovRates,
     Problem,
-    RampedPayoff,
     StepPayoff,
-    implied_slope,
     load_problem,
     parse_problem,
     problem_to_dict,
@@ -59,12 +57,10 @@ __all__ = [
     "Discounting",
     "StepPayoff",
     "Problem",
-    "RampedPayoff",
     "validate_problem",
     "parse_problem",
     "load_problem",
     "problem_to_dict",
-    "implied_slope",
     "drift_continuous",
     "drift_discrete",
     "switch_probabilities",

@@ -18,7 +18,6 @@ import datetime
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -27,9 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    DeltaTooLarge,
     OracleError,
-    OutOfRange,
     PersuadeError,
     ProblemValidationError,
     SimulationError,
@@ -37,7 +34,7 @@ from .errors import (
 )
 from .model import Problem, load_problem
 from .oracle import evaluate_policy_discrete, make_grid, myopic_policy, slide_only_policy, value_iteration
-from .sim import SimConfig, default_period, simulate
+from .sim import DEFAULT_MAX_TAIL, SimConfig, default_period, simulate, sized_horizon
 from .solver import MarkovPolicy, Solution, solution_from_dict, solve
 
 __all__ = ["main", "run"]
@@ -199,21 +196,14 @@ def _resolve_policy(args, problem: Problem):
     return MarkovPolicy.from_dict(data), name
 
 
-def _auto_horizon(problem: Problem, delta: float) -> int:
-    levels = problem.payoff.levels
-    spread = max(levels) - min(levels)
-    if spread <= 0.0:
-        return 100
-    # land the truncation bound at half the simulator's default ceiling
-    target = 0.025
-    return max(1, math.ceil(math.log(spread / target) / (problem.discounting.r * delta)))
-
-
 def cmd_simulate(args) -> int:
     problem = load_problem(args.config)
     policy, policy_name = _resolve_policy(args, problem)
     delta = args.delta if args.delta is not None else default_period(problem)
-    horizon = args.horizon if args.horizon is not None else _auto_horizon(problem, delta)
+    horizon = args.horizon
+    if horizon is None:
+        # land the truncation bound at half the simulator's default ceiling
+        horizon = sized_horizon(problem, delta, DEFAULT_MAX_TAIL / 2)
     belief = args.belief if args.belief is not None else problem.stationary_belief
     config = SimConfig(delta=delta, horizon=horizon, n_paths=args.paths,
                        seed=args.seed, initial_belief=belief)
@@ -339,9 +329,6 @@ def main(argv=None) -> int:
     except (ProblemValidationError,) as exc:
         for line in exc.problems:
             print(f"error: {line}", file=sys.stderr)
-        return 2
-    except (OutOfRange, DeltaTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -14,8 +14,6 @@ __all__ = [
     "NonMonotoneLevels",
     "EnvelopeViolation",
     "OutOfRange",
-    "DeltaTooLarge",
-    "AtStationaryBelief",
     "PriorOutsideBracket",
     "DegenerateBracket",
     "WrongSideOfStationary",
@@ -82,14 +80,6 @@ class EnvelopeViolation(ProblemValidationError):
 
 class OutOfRange(PersuadeError):
     """A belief argument lies outside [0, 1]."""
-
-
-class DeltaTooLarge(PersuadeError):
-    """Ramp width is at least the narrowest payoff interval."""
-
-
-class AtStationaryBelief(PersuadeError):
-    """The implied-slope diagnostic is undefined within 1e-12 of the stationary belief."""
 
 
 # --- belief kinetics ---------------------------------------------------------

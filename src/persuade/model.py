@@ -26,10 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AtStationaryBelief,
     BadRates,
     BadSupport,
-    DeltaTooLarge,
     EnvelopeViolation,
     NonMonotoneLevels,
     OutOfRange,
@@ -43,12 +41,10 @@ __all__ = [
     "Discounting",
     "StepPayoff",
     "Problem",
-    "RampedPayoff",
     "validate_problem",
     "parse_problem",
     "load_problem",
     "problem_to_dict",
-    "implied_slope",
 ]
 
 #: p* counts as sitting exactly on a cut when the distance is at most this.
@@ -64,6 +60,28 @@ _DUPLICATE_TOL = 1e-12
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _locate(p, breaks=None, side: str = "right"):
+    """Range-check beliefs and find the piece of a partition of [0, 1] holding each.
+
+    breaks holds the left ends of consecutive pieces, the first at 0.  With
+    side "right" piece i is [breaks[i], breaks[i+1]); with "left" it is
+    (breaks[i], breaks[i+1]], the piece a left limit reads.  The first piece
+    is closed at 0 and the last at 1.
+
+    Returns (x, i): a float and an int for scalar p, otherwise a float array
+    and an index array; i is None without breaks.  Raises OutOfRange unless
+    every belief lies in [0, 1], which NaN does not.
+    """
+    x = np.asarray(p, dtype=float)
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not inside.all():
+        raise OutOfRange(f"belief outside [0, 1]: {float(x[~inside][0])!r}")
+    i = None if breaks is None else np.maximum(np.searchsorted(breaks, x, side=side) - 1, 0)
+    if x.ndim == 0:
+        return float(x), None if i is None else int(i)
+    return x, i
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +125,7 @@ class StepPayoff:
     with value levels[i], and the last interval is closed at 1.
     """
 
-    __slots__ = ("cuts", "levels", "_env_x", "_env_y")
+    __slots__ = ("cuts", "levels", "_starts", "_levels", "_env_x", "_env_y")
 
     def __init__(self, cuts, levels):
         cuts = tuple(float(c) for c in cuts)
@@ -117,6 +135,8 @@ class StepPayoff:
         _check_envelope(cuts, levels)
         self.cuts = cuts
         self.levels = levels
+        self._starts = np.array(cuts[:-1])
+        self._levels = np.array(levels)
         # Envelope vertices: the (cut, level) points plus a flat extension to 1.
         self._env_x = np.array(cuts[:-1] + (1.0,))
         self._env_y = np.array(levels + (levels[-1],))
@@ -135,33 +155,21 @@ class StepPayoff:
     def __repr__(self) -> str:
         return f"StepPayoff(cuts={self.cuts!r}, levels={self.levels!r})"
 
-    def _indices(self, p: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.cuts, p, side="right") - 1, 0, self.n_steps - 1)
-
     def value(self, p):
         """u(p) with the closed-left convention; u(1) = top level."""
-        arr = np.asarray(p, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise OutOfRange(f"belief outside [0, 1]: {p!r}")
-        out = np.asarray(self.levels)[self._indices(arr)]
-        return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+        x, i = _locate(p, self._starts)
+        return self.levels[i] if isinstance(x, float) else self._levels[i]
 
     def left_value(self, p):
         """Left limit u(p-); at p = 0 this is just h_0."""
-        arr = np.asarray(p, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise OutOfRange(f"belief outside [0, 1]: {p!r}")
-        idx = np.clip(np.searchsorted(self.cuts, arr, side="left") - 1, 0, self.n_steps - 1)
-        out = np.asarray(self.levels)[idx]
-        return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+        x, i = _locate(p, self._starts, side="left")
+        return self.levels[i] if isinstance(x, float) else self._levels[i]
 
     def envelope(self, p):
         """Upper concave envelope of u: the polyline through the (cut, level) points."""
-        arr = np.asarray(p, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise OutOfRange(f"belief outside [0, 1]: {p!r}")
-        out = np.interp(arr, self._env_x, self._env_y)
-        return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+        x, _ = _locate(p)
+        out = np.interp(x, self._env_x, self._env_y)
+        return float(out) if isinstance(x, float) else out
 
     @property
     def envelope_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +254,7 @@ class Problem:
         for i, c in enumerate(cuts[:-1]):
             if abs(p_star - c) <= PIN_TOLERANCE:
                 return i
-        return int(np.clip(np.searchsorted(cuts, p_star, side="right") - 1, 0, self.payoff.n_steps - 1))
+        return _locate(p_star, self.payoff._starts)[1]
 
     @property
     def pinned(self) -> bool:
@@ -316,53 +324,3 @@ def problem_to_dict(problem: Problem) -> dict:
         "cuts": list(problem.payoff.cuts),
         "levels": list(problem.payoff.levels),
     }
-
-
-class RampedPayoff:
-    """Continuous upper approximation of a step payoff.
-
-    Each jump at an interior cut c is replaced by a linear ramp on
-    [c - delta, c], so the result is Lipschitz, pointwise >= the step
-    payoff, equal to it outside the ramp bands, and pointwise nonincreasing
-    in delta.
-    """
-
-    __slots__ = ("base", "delta")
-
-    def __init__(self, base: StepPayoff, delta: float):
-        min_width = min(b - a for a, b in zip(base.cuts, base.cuts[1:]))
-        if not _is_number(delta) or delta <= 0.0:
-            raise DeltaTooLarge(f"ramp width must be positive, got {delta!r}")
-        if delta >= min_width:
-            raise DeltaTooLarge(f"ramp width {delta} must be below the narrowest interval {min_width}")
-        self.base = base
-        self.delta = float(delta)
-
-    def value(self, p):
-        arr = np.asarray(p, dtype=float)
-        base_val = np.asarray(self.base.value(arr))
-        cuts = np.asarray(self.base.cuts)
-        levels = np.asarray(self.base.levels)
-        idx = np.clip(np.searchsorted(cuts, arr, side="right") - 1, 0, len(levels) - 1)
-        next_cut = cuts[np.minimum(idx + 1, len(cuts) - 1)]
-        in_band = (idx <= len(levels) - 2) & (arr >= next_cut - self.delta)
-        ramp = np.where(
-            in_band,
-            levels[idx] + (levels[np.minimum(idx + 1, len(levels) - 1)] - levels[idx])
-            * (arr - (next_cut - self.delta)) / self.delta,
-            base_val,
-        )
-        return float(ramp) if np.isscalar(p) or arr.ndim == 0 else ramp
-
-
-def implied_slope(problem: Problem, value_fn, payoff_fn, p: float) -> float:
-    """Slope that the balance condition forces at p: mu (u(p) - v(p)) / (p - p*).
-
-    On slide stretches the value's derivative equals this quantity exactly;
-    elsewhere concavity makes the derivative fall on the appropriate side.
-    Undefined at the stationary belief (zero denominator).
-    """
-    p_star = problem.stationary_belief
-    if abs(p - p_star) <= PIN_TOLERANCE:
-        raise AtStationaryBelief(f"implied slope undefined at p = {p} (p* = {p_star})")
-    return problem.discount_ratio * (payoff_fn(p) - value_fn(p)) / (p - p_star)

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import spsolve
 
 from .errors import (
     BracketViolation,
@@ -29,7 +27,7 @@ from .errors import (
     NoConvergence,
     OutOfRange,
 )
-from .model import Problem
+from .model import Problem, _locate
 from .dynamics import drift_map, make_split_signal
 from .solver import MarkovPolicy, PolicyRegion
 
@@ -88,14 +86,12 @@ def make_grid(problem: Problem, gap: float, extra=()) -> BeliefGrid:
         raise OutOfRange(f"grid gap must be positive, got {gap!r}")
     cuts = problem.payoff.cuts
     base = np.linspace(0.0, 1.0, math.ceil(1.0 / gap) + 1)
-    pts = np.concatenate([
+    pts, _ = _locate(np.concatenate([
         base,
         np.array(cuts),
         np.asarray(extra, dtype=float),
         np.array([c - _LEFT_SAMPLE_OFFSET for c in cuts[1:-1]]),
-    ])
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
-        raise OutOfRange("grid point outside [0, 1]")
+    ]))
     pts = np.sort(pts)
     keep = np.concatenate([[True], np.diff(pts) > _DEDUPE_TOL])
     pts = pts[keep]
@@ -126,11 +122,9 @@ class OracleResult:
 
     def value(self, p):
         """Linear interpolation of the grid values."""
-        arr = np.asarray(p, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise OutOfRange("belief outside [0, 1]")
-        out = np.interp(arr, self.grid.points, self.values)
-        return float(out) if arr.ndim == 0 else out
+        x, _ = _locate(p)
+        out = np.interp(x, self.grid.points, self.values)
+        return float(out) if isinstance(x, float) else out
 
 
 def _upper_hull(xs: np.ndarray, ys: np.ndarray):
@@ -242,6 +236,11 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
     nodes are linearly interpolated, which is exact whenever the policy's
     split targets are grid points.
     """
+    # scipy.sparse is imported here, not at module level, so that importing
+    # the package does not pay for it.
+    from scipy.sparse import csr_matrix, identity
+    from scipy.sparse.linalg import spsolve
+
     if delta <= 0.0:
         raise OutOfRange(f"period length must be positive, got {delta!r}")
     x = math.exp(-problem.discounting.r * delta)

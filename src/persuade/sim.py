@@ -11,19 +11,19 @@ period payoff (1 - x) x^n u(belief) accrues at the post-message belief.
 Period weights (1 - x) x^n, n = 0, 1, ..., sum to one over an infinite
 horizon, so simulated means are directly comparable to the solver's value.
 
-Paths are simulated in fixed-size chunks, each with its own child of the
-master seed sequence, and chunk aggregates are folded in chunk order with
-math.fsum.  Results are therefore bit-identical for a given seed no matter
-how many worker threads run (one per available core by default; set
-PERSUADE_THREADS to override).  The chunk size is part of the random stream:
-changing _CHUNK changes the result for a given seed.  State
+Paths are simulated in chunks of at most _CHUNK paths, split evenly (sizes
+differ by at most one), each with its own child of the master seed sequence,
+and chunk aggregates are folded in chunk order with math.fsum.  The chunk
+layout depends only on the path count, so results are bit-identical for a
+given seed no matter how many worker threads run (one per available core by
+default; set PERSUADE_THREADS to override).  The layout is part of the random
+stream: changing _CHUNK or the split changes the result for a given seed.  State
 randomness is drawn before any policy-dependent quantity, so runs with the
 same seed see identical state paths under different policies.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -43,8 +43,7 @@ __all__ = [
     "default_period",
     "simulate",
     "compare_policies",
-    "write_trace_csv",
-    "write_calibration_csv",
+    "sized_horizon",
 ]
 
 _CHUNK = 32768
@@ -59,6 +58,18 @@ DEFAULT_MAX_TAIL = 0.05
 def default_period(problem: Problem) -> float:
     """Period short relative to every rate in the instance."""
     return 0.01 / (problem.rates.lambda0 + problem.rates.lambda1 + problem.discounting.r)
+
+
+def sized_horizon(problem: Problem, delta: float, max_tail: float) -> int:
+    """Fewest periods whose truncation bound x^horizon * spread is at most max_tail.
+
+    A flat payoff has no truncation error at any horizon; it gets 100 periods.
+    """
+    levels = problem.payoff.levels
+    spread = max(levels) - min(levels)
+    if spread <= 0.0:
+        return 100
+    return max(1, math.ceil(math.log(spread / max_tail) / (problem.discounting.r * delta)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,19 +287,19 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     """
     x = math.exp(-problem.discounting.r * config.delta)
     levels = problem.payoff.levels
-    spread = max(levels) - min(levels)
-    tail_bound = x ** config.horizon * spread
+    tail_bound = x ** config.horizon * (max(levels) - min(levels))
     if tail_bound > max_tail:
-        needed = math.ceil(math.log(spread / max_tail) / (problem.discounting.r * config.delta))
         raise HorizonTooShort(
-            f"truncation bound {tail_bound:.3g} exceeds {max_tail}; "
-            f"need a horizon of about {needed} periods"
+            f"truncation bound {tail_bound:.3g} exceeds {max_tail}; need a horizon of "
+            f"about {sized_horizon(problem, config.delta, max_tail)} periods"
         )
 
     weights = (1.0 - x) * x ** np.arange(config.horizon)
     n_chunks = (config.n_paths + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(config.seed).spawn(n_chunks)
-    sizes = [min(_CHUNK, config.n_paths - i * _CHUNK) for i in range(n_chunks)]
+    # Even sizes (differing by at most one) keep the threads equally loaded.
+    base, extra = divmod(config.n_paths, n_chunks)
+    sizes = [base + (i < extra) for i in range(n_chunks)]
 
     table = _belief_table(problem, policy, config)
     flip_prob = np.array(switch_probabilities(problem.rates, config.delta))
@@ -361,26 +372,3 @@ def compare_policies(problem: Problem, solution: Solution, policies, beliefs,
                 "beats_value": excess > 3.0 * result.std_error + allowance,
             })
     return rows
-
-
-def write_trace_csv(result: SimResult, path) -> None:
-    """Write the recorded sample path as CSV."""
-    if result.trace is None:
-        raise ValueError("simulation was run without record_trace")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["period", "time", "state", "drifted_belief", "belief"])
-        for row in result.trace:
-            writer.writerow([int(row[0]), repr(float(row[1])), int(row[2]),
-                             repr(float(row[3])), repr(float(row[4]))])
-
-
-def write_calibration_csv(result: SimResult, path) -> None:
-    """Write the belief-calibration table as CSV."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_lo", "bin_hi", "bin_center", "count", "state_one",
-                         "frequency", "predicted", "std_error"])
-        for b in result.calibration:
-            writer.writerow([b.lo, b.hi, b.center, b.count, b.state_one,
-                             b.frequency, b.predicted, b.std_error])

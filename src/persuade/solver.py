@@ -37,11 +37,10 @@ from .errors import (
     BracketViolation,
     MultiRoot,
     NoRoot,
-    OutOfRange,
     PolicyGap,
     SolverError,
 )
-from .model import PIN_TOLERANCE, Problem, parse_problem, problem_to_dict
+from .model import PIN_TOLERANCE, Problem, _locate, parse_problem, problem_to_dict
 from .dynamics import discounted_time_split, split_value_linear
 
 __all__ = [
@@ -144,40 +143,25 @@ class PiecewiseValue:
         self.segments = segments
         self._los = np.array([s.lo for s in segments])
 
-    def _index(self, arr: np.ndarray, side: str) -> np.ndarray:
-        return np.clip(np.searchsorted(self._los, arr, side=side) - 1, 0, len(self.segments) - 1)
-
-    def _check(self, arr: np.ndarray) -> None:
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise OutOfRange("belief outside [0, 1]")
-
     def value(self, p):
-        arr = np.asarray(p, dtype=float)
-        self._check(arr)
-        idx = self._index(arr, "right")
-        if arr.ndim == 0:
-            return float(self.segments[int(idx)].value_at(arr))
-        out = np.empty_like(arr)
-        for k, seg in enumerate(self.segments):
-            mask = idx == k
-            if mask.any():
-                out[mask] = seg.value_at(arr[mask])
-        return out
+        return self._evaluate(p, "right", ValueSegment.value_at)
 
     def derivative(self, p, side: str = "right"):
         """One-sided derivative; 'left' picks the earlier segment at junctions."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        arr = np.asarray(p, dtype=float)
-        self._check(arr)
-        idx = self._index(arr, "right" if side == "right" else "left")
-        if arr.ndim == 0:
-            return float(self.segments[int(idx)].derivative_at(arr))
-        out = np.empty_like(arr)
+        return self._evaluate(p, side, ValueSegment.derivative_at)
+
+    def _evaluate(self, p, side: str, method):
+        """method(segment, beliefs) on the segment holding each belief."""
+        x, idx = _locate(p, self._los, side)
+        if isinstance(x, float):
+            return float(method(self.segments[idx], x))
+        out = np.empty_like(x)
         for k, seg in enumerate(self.segments):
             mask = idx == k
             if mask.any():
-                out[mask] = seg.derivative_at(arr[mask])
+                out[mask] = method(seg, x[mask])
         return out
 
     def junction_gaps(self):
@@ -259,11 +243,7 @@ class MarkovPolicy:
 
     def region_index(self, p):
         """Region index per belief; the final region is closed at 1."""
-        arr = np.asarray(p, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise OutOfRange("belief outside [0, 1]")
-        idx = np.clip(np.searchsorted(self._starts, arr, side="right") - 1, 0, len(self.regions) - 1)
-        return int(idx) if arr.ndim == 0 else idx
+        return _locate(p, self._starts)[1]
 
     def region_at(self, p: float) -> PolicyRegion:
         return self.regions[self.region_index(p)]

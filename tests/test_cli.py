@@ -167,6 +167,20 @@ def test_simulate_short_horizon_exit_code(tmp_path, canon_config, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw,horizon", [(CANON_RAW, 1107), (FLAT_RAW, 100)])
+def test_simulate_default_horizon(tmp_path, raw, horizon):
+    # Canon: the truncation bound 1.0 x^horizon first drops to 0.025 at 1107
+    # periods of the default length 0.01/3.  A flat payoff has no truncation
+    # error and keeps 100 periods.
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "sim.json"
+    code = main(["simulate", "--config", str(config), "--out", str(out),
+                 "--policy", "slide_only", "--paths", "10"])
+    assert code == 0
+    assert json.loads(out.read_text())["config"]["horizon"] == horizon
+
+
 def test_simulate_missing_policy_file(tmp_path, canon_config):
     out = tmp_path / "sim.json"
     code = main(["simulate", "--config", canon_config, "--out", str(out),

@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from persuade.errors import (
-    AtStationaryBelief,
     BadRates,
     BadSupport,
-    DeltaTooLarge,
     EnvelopeViolation,
     NonMonotoneLevels,
     OutOfRange,
@@ -21,14 +19,14 @@ from persuade.errors import (
 from persuade.model import (
     Discounting,
     MarkovRates,
-    RampedPayoff,
     StepPayoff,
-    implied_slope,
     load_problem,
     parse_problem,
     problem_to_dict,
     validate_problem,
 )
+
+from persuade.oracle import OracleResult, make_grid
 
 from conftest import CANON_RAW, ONE_ABOVE_RAW, PINNED_RAW, random_instance
 
@@ -130,6 +128,36 @@ def test_step_value_rejects_out_of_range():
         pay.value(1.01)
 
 
+def _oracle_result(problem):
+    grid = make_grid(problem, 0.05)
+    return OracleResult(grid, np.zeros(len(grid)), 0.01, 1, 0.0)
+
+
+# Every belief lookup, as a function of the canon problem and its solution.
+LOOKUPS = {
+    "payoff.value": lambda prob, sol: prob.payoff.value,
+    "payoff.left_value": lambda prob, sol: prob.payoff.left_value,
+    "payoff.envelope": lambda prob, sol: prob.payoff.envelope,
+    "value.value": lambda prob, sol: sol.value.value,
+    "value.derivative": lambda prob, sol: sol.value.derivative,
+    "policy.region_index": lambda prob, sol: sol.policy.region_index,
+    "policy.region_at": lambda prob, sol: sol.policy.region_at,
+    "oracle.value": lambda prob, sol: _oracle_result(prob).value,
+}
+
+
+@pytest.mark.parametrize("belief", [math.nan, [0.5, math.nan], -0.01, [0.5, 1.01]],
+                         ids=["nan", "array-nan", "below", "array-above"])
+@pytest.mark.parametrize("lookup", list(LOOKUPS))
+def test_lookups_reject_beliefs_outside_unit_interval(lookup, belief, canon_problem,
+                                                      canon_solution):
+    # NaN compares false with everything, so it must fail the range check
+    # rather than land in the first or the last piece.
+    fn = LOOKUPS[lookup](canon_problem, canon_solution)
+    with pytest.raises(OutOfRange):
+        fn(belief)
+
+
 def test_envelope_dominates_and_touches_at_cuts():
     pay = StepPayoff(cuts=tuple(CANON_RAW["cuts"]), levels=tuple(CANON_RAW["levels"]))
     ps = np.linspace(0.0, 1.0, 2001)
@@ -223,54 +251,3 @@ def test_load_problem_round_trip(tmp_path, canon_problem):
     path.write_text(json.dumps(problem_to_dict(canon_problem)))
     prob = load_problem(path)
     assert prob.payoff.cuts == canon_problem.payoff.cuts
-
-
-# --- ramped payoff ------------------------------------------------------------
-
-def test_ramp_dominates_base_and_grows_with_width(canon_problem):
-    base = canon_problem.payoff
-    narrow = RampedPayoff(base, 0.01)
-    wide = RampedPayoff(base, 0.05)
-    ps = np.linspace(0.0, 1.0, 2001)
-    v_base = base.value(ps)
-    v_narrow = narrow.value(ps)
-    v_wide = wide.value(ps)
-    assert np.all(v_narrow >= v_base - 1e-15)
-    assert np.all(v_wide >= v_narrow - 1e-15)
-    # Away from the ramp bands nothing changes.
-    assert narrow.value(0.5) == base.value(0.5)
-    assert narrow.value(0.1) == base.value(0.1)
-
-
-def test_ramp_interpolates_inside_band(canon_problem):
-    ramp = RampedPayoff(canon_problem.payoff, 0.04)
-    # Band [0.16, 0.2) climbs from 0 to 0.5; midpoint gives half the rise.
-    assert ramp.value(0.18) == pytest.approx(0.25, abs=1e-12)
-    assert ramp.value(0.16) == pytest.approx(0.0, abs=1e-12)
-    assert ramp.value(0.2) == 0.5
-
-
-def test_ramp_width_limits(canon_problem):
-    with pytest.raises(DeltaTooLarge):
-        RampedPayoff(canon_problem.payoff, 0.2)   # narrowest interval is 0.2
-    with pytest.raises(DeltaTooLarge):
-        RampedPayoff(canon_problem.payoff, 0.0)
-    RampedPayoff(canon_problem.payoff, 0.199)     # strictly inside is fine
-
-
-# --- implied slope diagnostic -------------------------------------------------
-
-def test_implied_slope_formula(canon_problem):
-    # v'(p) = mu (u(p) - v(p)) / (p - p*) rearranged; check against hand value.
-    u = canon_problem.payoff.value
-    v = lambda p: 0.9  # noqa: E731 - throwaway stub
-    got = implied_slope(canon_problem, v, u, 0.8)
-    assert got == pytest.approx(0.5 * (1.0 - 0.9) / 0.3, abs=1e-12)
-
-
-def test_implied_slope_undefined_at_stationary(canon_problem):
-    u = canon_problem.payoff.value
-    with pytest.raises(AtStationaryBelief):
-        implied_slope(canon_problem, u, u, 0.5)
-    with pytest.raises(AtStationaryBelief):
-        implied_slope(canon_problem, u, u, 0.5 + 1e-13)

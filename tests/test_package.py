@@ -1,0 +1,33 @@
+"""Package surface: exported names and import cost."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import persuade
+
+MODULES = ("persuade", "persuade.errors", "persuade.model", "persuade.dynamics",
+           "persuade.solver", "persuade.oracle", "persuade.sim", "persuade.cli")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{mod.__name__}.__all__ lists undefined names {missing}"
+
+
+def test_import_does_not_load_scipy_sparse():
+    # scipy.sparse is only needed to value a fixed policy exactly; the
+    # oracle imports it there, not when the package is imported.
+    src = os.path.dirname(os.path.dirname(persuade.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import persuade; "
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 
@@ -18,8 +17,6 @@ from persuade.sim import (
     compare_policies,
     default_period,
     simulate,
-    write_calibration_csv,
-    write_trace_csv,
 )
 from persuade.solver import MarkovPolicy, solve
 
@@ -278,7 +275,7 @@ def test_compare_policies_empty_input(canon_problem, canon_solution):
     assert compare_policies(canon_problem, canon_solution, {}, [0.5], config) == []
 
 
-# --- trace and CSV output -----------------------------------------------------
+# --- trace --------------------------------------------------------------------
 
 def test_trace_shape_and_columns(canon_problem, canon_solution):
     config = SimConfig(delta=0.02, horizon=160, n_paths=8, seed=21, initial_belief=0.35)
@@ -296,33 +293,6 @@ def test_trace_absent_by_default(flat_problem):
     config = SimConfig(delta=0.05, horizon=100, n_paths=4, seed=0, initial_belief=0.5)
     res = simulate(flat_problem, slide_only_policy(flat_problem), config)
     assert res.trace is None
-    with pytest.raises(ValueError):
-        write_trace_csv(res, "/dev/null")
-
-
-def test_trace_csv_round_trip(tmp_path, canon_problem, canon_solution):
-    config = SimConfig(delta=0.02, horizon=160, n_paths=4, seed=33, initial_belief=0.5)
-    res = simulate(canon_problem, canon_solution.policy, config, record_trace=True)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(res, path)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["period", "time", "state", "drifted_belief", "belief"]
-    assert len(rows) == 161
-    assert float(rows[1][4]) == res.trace[0, 4]
-
-
-def test_calibration_csv(tmp_path, canon_problem, canon_solution):
-    config = SimConfig(delta=0.01, horizon=301, n_paths=500, seed=4, initial_belief=0.5)
-    res = simulate(canon_problem, canon_solution.policy, config)
-    path = tmp_path / "calib.csv"
-    write_calibration_csv(res, path)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0][:3] == ["bin_lo", "bin_hi", "bin_center"]
-    assert len(rows) == 22
-    assert float(rows[1][0]) == 0.0
-    assert float(rows[-1][1]) == 1.0
 
 
 # --- cross-checks against the solved value ------------------------------------
