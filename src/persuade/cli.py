@@ -25,17 +25,11 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import (
-    OracleError,
-    PersuadeError,
-    ProblemValidationError,
-    SimulationError,
-    SolverError,
-)
+from .errors import OracleError, PersuadeError, ProblemValidationError, SimulationError, SolverError
 from .model import Problem, load_problem
 from .oracle import evaluate_policy_discrete, make_grid, myopic_policy, slide_only_policy, value_iteration
 from .sim import DEFAULT_MAX_TAIL, SimConfig, default_period, simulate, sized_horizon
-from .solver import MarkovPolicy, Solution, solution_from_dict, solve
+from .solver import MarkovPolicy, solve
 
 __all__ = ["main", "run"]
 
@@ -191,9 +185,11 @@ def _resolve_policy(args, problem: Problem):
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ProblemValidationError([f"policy file {name}: invalid JSON: {exc}"]) from exc
-    if "segments" in data:
-        return solution_from_dict(data).policy, name
-    return MarkovPolicy.from_dict(data), name
+    # A solution file carries the same top-level regions and cutoffs.
+    try:
+        return MarkovPolicy.from_dict(data), name
+    except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
+        raise ProblemValidationError([f"policy file {name}: malformed policy: {exc!r}"]) from exc
 
 
 def cmd_simulate(args) -> int:
@@ -349,3 +345,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -29,14 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    BracketDoesNotStraddle,
-    DegenerateBracket,
-    OutOfRange,
-    PriorOutsideBracket,
-    Unreachable,
-    WrongSideOfStationary,
-)
+from .errors import OutOfRange
 from .model import MarkovRates, Problem
 
 __all__ = [
@@ -132,9 +125,9 @@ def make_split_signal(q: float, a: float, b: float) -> SplitSignal:
     for name, value in (("prior", q), ("low target", a), ("high target", b)):
         _check_belief(name, value)
     if a == b:
-        raise DegenerateBracket(f"split bracket has zero width at {a}")
+        raise OutOfRange(f"split bracket has zero width at {a}")
     if not (a <= q <= b):
-        raise PriorOutsideBracket(f"prior {q} outside bracket [{a}, {b}]")
+        raise OutOfRange(f"prior {q} outside bracket [{a}, {b}]")
     if q <= 0.0 or q >= 1.0:
         raise OutOfRange(f"conditional message probabilities undefined at degenerate prior {q}")
     width = b - a
@@ -184,7 +177,7 @@ def discounted_time_split(problem: Problem, p_from: float, p_to: float) -> Reach
     if d == 0.0:
         return ReachTime(p_from, p_to, y=0.0, intensity=math.inf)
     if pull * d < 0.0:
-        raise WrongSideOfStationary(
+        raise OutOfRange(
             f"split from {p_from} to {p_to} moves against the drift pull (p* = {p_star})"
         )
     y = mu * d / (pull + mu * d)
@@ -208,7 +201,7 @@ def discounted_time_slide(problem: Problem, p_from: float, p_to: float) -> Reach
     gap_to = p_star - p_to
     between = (p_from < p_to < p_star) or (p_star < p_to < p_from)
     if not between:
-        raise Unreachable(
+        raise OutOfRange(
             f"slide from {p_from} cannot reach {p_to} (p* = {p_star}); "
             "drift converges to p* without attaining it"
         )
@@ -232,12 +225,12 @@ def split_value_linear(problem: Problem, p: float, p_lo: float, p_hi: float,
     with the split reach times in both directions.
     """
     if p_lo == p_hi:
-        raise DegenerateBracket(f"bracket has zero width at {p_lo}")
+        raise OutOfRange(f"bracket has zero width at {p_lo}")
     _check_belief("p_lo", p_lo)
     _check_belief("p_hi", p_hi)
     p_star = problem.stationary_belief
     if not (p_lo <= p_star <= p_hi):
-        raise BracketDoesNotStraddle(f"bracket [{p_lo}, {p_hi}] does not contain p* = {p_star}")
+        raise OutOfRange(f"bracket [{p_lo}, {p_hi}] does not contain p* = {p_star}")
     if not (p_lo <= p <= p_hi):
         raise OutOfRange(f"belief {p} outside bracket [{p_lo}, {p_hi}]")
     mu = problem.discount_ratio

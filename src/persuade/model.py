@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadRates,
-    BadSupport,
-    EnvelopeViolation,
-    NonMonotoneLevels,
-    OutOfRange,
-    ProblemValidationError,
-)
+from .errors import OutOfRange, ProblemValidationError
 
 __all__ = [
     "PIN_TOLERANCE",
@@ -94,7 +87,7 @@ class MarkovRates:
     def __post_init__(self) -> None:
         for name, value in (("lambda0", self.lambda0), ("lambda1", self.lambda1)):
             if not _is_number(value) or value <= 0.0:
-                raise BadRates(f"rate {name} must be a finite positive number, got {value!r}")
+                raise ProblemValidationError([f"rate {name} must be a finite positive number, got {value!r}"])
 
     @property
     def switch_rate(self) -> float:
@@ -115,7 +108,7 @@ class Discounting:
 
     def __post_init__(self) -> None:
         if not _is_number(self.r) or self.r <= 0.0:
-            raise BadRates(f"discount rate r must be a finite positive number, got {self.r!r}")
+            raise ProblemValidationError([f"discount rate r must be a finite positive number, got {self.r!r}"])
 
 
 class StepPayoff:
@@ -171,10 +164,6 @@ class StepPayoff:
         out = np.interp(x, self._env_x, self._env_y)
         return float(out) if isinstance(x, float) else out
 
-    @property
-    def envelope_points(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._env_x.copy(), self._env_y.copy()
-
 
 def _check_support(cuts: tuple[float, ...], levels: tuple[float, ...]) -> None:
     problems = []
@@ -193,15 +182,15 @@ def _check_support(cuts: tuple[float, ...], levels: tuple[float, ...]) -> None:
     if len(levels) != len(cuts) - 1:
         problems.append(f"expected {len(cuts) - 1} levels for {len(cuts)} cuts, got {len(levels)}")
     if problems:
-        raise BadSupport("; ".join(problems))
+        raise ProblemValidationError(["; ".join(problems)])
 
 
 def _check_levels(levels: tuple[float, ...]) -> None:
     if not all(_is_number(h) for h in levels):
-        raise NonMonotoneLevels("levels must all be finite numbers")
+        raise ProblemValidationError(["levels must all be finite numbers"])
     for i, (a, b) in enumerate(zip(levels, levels[1:])):
         if b <= a:
-            raise NonMonotoneLevels(f"levels must strictly increase: levels[{i}]={a} >= levels[{i + 1}]={b}")
+            raise ProblemValidationError([f"levels must strictly increase: levels[{i}]={a} >= levels[{i + 1}]={b}"])
 
 
 def _check_envelope(cuts: tuple[float, ...], levels: tuple[float, ...]) -> None:
@@ -218,7 +207,7 @@ def _check_envelope(cuts: tuple[float, ...], levels: tuple[float, ...]) -> None:
                 f"({x0}, {y0}) to ({x2}, {y2})"
             )
     if bad:
-        raise EnvelopeViolation("; ".join(bad))
+        raise ProblemValidationError(["; ".join(bad)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,7 +257,7 @@ class Problem:
 
 
 def validate_problem(rates: MarkovRates, discounting: Discounting, cuts, levels) -> Problem:
-    """Build a validated Problem; raises a ProblemValidationError subclass on failure."""
+    """Build a validated Problem; raises ProblemValidationError on failure."""
     payoff = StepPayoff(cuts, levels)
     return Problem(rates=rates, discounting=discounting, payoff=payoff)
 

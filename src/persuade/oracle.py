@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketViolation,
-    GridTooCoarse,
-    NoConvergence,
-    OutOfRange,
-)
+from .errors import NoConvergence, OracleError, OutOfRange
 from .model import Problem, _locate
 from .dynamics import drift_map, make_split_signal
 from .solver import MarkovPolicy, PolicyRegion
@@ -79,7 +74,7 @@ def make_grid(problem: Problem, gap: float, extra=()) -> BeliefGrid:
 
     Left-limit samples sit _LEFT_SAMPLE_OFFSET below each interior cut so the
     low side of every payoff jump is represented.  Points closer together
-    than _DEDUPE_TOL are merged.  Raises GridTooCoarse when a payoff interval
+    than _DEDUPE_TOL are merged.  Raises OracleError when a payoff interval
     ends up with fewer than 3 points.
     """
     if gap <= 0.0:
@@ -102,7 +97,7 @@ def make_grid(problem: Problem, gap: float, extra=()) -> BeliefGrid:
         hi = np.searchsorted(pts, cuts[i + 1], side="left")
         count = int(hi - lo) + (1 if i == len(cuts) - 2 else 0)
         if count < 3:
-            raise GridTooCoarse(
+            raise OracleError(
                 f"payoff interval [{cuts[i]}, {cuts[i + 1]}) has only {count} "
                 f"grid points at gap {gap}"
             )
@@ -264,11 +259,7 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
                 vals.append(wgt)
             continue
         lo, hi = region.low_target, region.high_target
-        if not (lo - 1e-12 <= d <= hi + 1e-12):
-            raise BracketViolation(
-                f"drifted belief {d} escapes split bracket [{lo}, {hi}]"
-            )
-        signal = make_split_signal(min(max(d, lo), hi), lo, hi)
+        signal = make_split_signal(d, lo, hi)
         rho = signal.prob_high
         c[i] = (1.0 - rho) * payoff.value(lo) + rho * payoff.value(hi)
         for target, mass in ((lo, 1.0 - rho), (hi, rho)):

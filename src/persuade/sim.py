@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import HorizonTooShort, OutOfRange
+from .errors import OutOfRange, SimulationError
 from .model import Problem
 from .dynamics import SplitSignal, drift_map, make_split_signal, switch_probabilities
 from .solver import MarkovPolicy, Solution
@@ -280,16 +280,18 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     """Run the discrete game under a fixed policy and aggregate path payoffs.
 
     The truncation error of stopping after `horizon` periods is at most
-    x^horizon times the payoff spread; HorizonTooShort is raised when that
+    x^horizon times the payoff spread; SimulationError is raised when that
     bound exceeds max_tail.  With record_trace the first path of the first
     chunk is kept period by period (columns: period, elapsed time, state,
     drifted belief, post-message belief).
     """
+    if not max_tail > 0.0:
+        raise OutOfRange(f"max_tail must be positive, got {max_tail!r}")
     x = math.exp(-problem.discounting.r * config.delta)
     levels = problem.payoff.levels
     tail_bound = x ** config.horizon * (max(levels) - min(levels))
     if tail_bound > max_tail:
-        raise HorizonTooShort(
+        raise SimulationError(
             f"truncation bound {tail_bound:.3g} exceeds {max_tail}; need a horizon of "
             f"about {sized_horizon(problem, config.delta, max_tail)} periods"
         )

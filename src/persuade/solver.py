@@ -32,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadBoundary,
-    BracketViolation,
-    MultiRoot,
-    NoRoot,
-    PolicyGap,
-    SolverError,
-)
+from .errors import ProblemValidationError, SolverError
 from .model import PIN_TOLERANCE, Problem, _locate, parse_problem, problem_to_dict
 from .dynamics import discounted_time_split, split_value_linear
 
@@ -197,15 +190,17 @@ class PolicyRegion:
 
     def __post_init__(self) -> None:
         if self.action not in ("slide", "split"):
-            raise PolicyGap(f"unknown action {self.action!r}")
+            raise ProblemValidationError([f"unknown action {self.action!r}"])
+        if not self.lo < self.hi:
+            raise ProblemValidationError([f"region [{self.lo}, {self.hi}) is empty"])
         if self.action == "split":
             if self.low_target is None or self.high_target is None:
-                raise BracketViolation(f"split region [{self.lo}, {self.hi}) without targets")
+                raise ProblemValidationError([f"split region [{self.lo}, {self.hi}) without targets"])
             if not (self.low_target <= self.lo and self.hi <= self.high_target):
-                raise BracketViolation(
+                raise ProblemValidationError([
                     f"split targets [{self.low_target}, {self.high_target}] do not "
                     f"contain the region [{self.lo}, {self.hi}]"
-                )
+                ])
 
     def to_dict(self) -> dict:
         if self.action == "slide":
@@ -229,14 +224,14 @@ class MarkovPolicy:
     def __init__(self, regions, cutoffs=()):
         regions = tuple(regions)
         if not regions:
-            raise PolicyGap("policy has no regions")
+            raise ProblemValidationError(["policy has no regions"])
         if regions[0].lo != 0.0:
-            raise PolicyGap(f"first region starts at {regions[0].lo}, not 0")
+            raise ProblemValidationError([f"first region starts at {regions[0].lo}, not 0"])
         if regions[-1].hi != 1.0:
-            raise PolicyGap(f"last region ends at {regions[-1].hi}, not 1")
+            raise ProblemValidationError([f"last region ends at {regions[-1].hi}, not 1"])
         for a, b in zip(regions, regions[1:]):
             if a.hi != b.lo:
-                raise PolicyGap(f"regions leave a gap between {a.hi} and {b.lo}")
+                raise ProblemValidationError([f"regions leave a gap between {a.hi} and {b.lo}"])
         self.regions = regions
         self.cutoffs = tuple(float(c) for c in cutoffs)
         self._starts = np.array([r.lo for r in regions])
@@ -357,12 +352,12 @@ def _find_cutoff(p_j, p_next, h_j, h_next, K, p_star, mu) -> float:
     if len(exact) == 1 and len(changes) == 0:
         return float(qs[exact[0]])
     if len(changes) == 0:
-        raise NoRoot(
+        raise SolverError(
             f"pasting residual has no sign change in ({lo}, {hi}): "
             f"F({lo})={fs[0]:.3e}, F({hi})={fs[-1]:.3e}"
         )
     if len(changes) > 1 or len(exact) > 1:
-        raise MultiRoot(f"pasting residual changes sign {len(changes)} times in ({lo}, {hi})")
+        raise SolverError(f"pasting residual changes sign {len(changes)} times in ({lo}, {hi})")
     a, b = float(qs[changes[0]]), float(qs[changes[0] + 1])
     fa = float(_pasting_residual(a, h_j, h_next, K, p_star, mu, p_next))
     for _ in range(_PASTING_MAX_ITER):
@@ -389,7 +384,7 @@ def _solve_above_interval(problem: Problem, j: int, v_at_pj: float):
     p_star = problem.stationary_belief
     mu = problem.discount_ratio
     if v_at_pj >= h_j:
-        raise BadBoundary(
+        raise SolverError(
             f"value {v_at_pj} at cut {p_j} must be strictly below the flow level {h_j}"
         )
     K = (v_at_pj - h_j) * (p_j - p_star) ** mu

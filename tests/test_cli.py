@@ -210,6 +210,49 @@ def test_simulate_bad_policy_json(tmp_path, canon_config, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", [
+    {"foo": 1},
+    [1, 2],
+    {"regions": [{"lo": 0, "hi": 1, "action": "split", "targets": [0]}]},
+    {"regions": [{"lo": 0, "hi": 0.5}]},
+    {"regions": [{"lo": 0, "hi": 1, "action": "jump"}]},
+    {"regions": [{"lo": "a", "hi": 1}]},
+    {"regions": [{"lo": 0, "hi": 0.7}, {"lo": 0.7, "hi": 0.3}, {"lo": 0.3, "hi": 1}]},
+], ids=["no_regions", "list", "one_target", "gap", "unknown_action", "string_lo", "backwards"])
+def test_simulate_malformed_policy_file(tmp_path, canon_config, capsys, policy):
+    bad = tmp_path / "policy.json"
+    bad.write_text(json.dumps(policy))
+    out = tmp_path / "sim.json"
+    code = main(["simulate", "--config", canon_config, "--out", str(out),
+                 "--policy", str(bad), "--paths", "10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# --- exit codes of the solver and oracle families ------------------------------
+
+def test_solver_failure_exit_code(tmp_path, capsys):
+    # mu = 400 on the canon cuts: the slide arc overflows and the pasting
+    # residual has no sign change.
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps(dict(CANON_RAW, r=800.0)))
+    code = main(["solve", "--config", str(config), "--out", str(tmp_path / "sol.csv")])
+    assert code == 4
+    assert "solver error: pasting residual has no sign change" in capsys.readouterr().err
+
+
+def test_oracle_failure_exit_code(tmp_path, canon_config, capsys):
+    code = main(["oracle", "--config", canon_config, "--out", str(tmp_path / "o.csv"),
+                 "--grid-gap", "0.5"])
+    assert code == 5
+    assert capsys.readouterr().err.startswith(
+        "oracle error: payoff interval [0.0, 0.2) has only 2 grid points")
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_sweep_single_delta(tmp_path, canon_config):

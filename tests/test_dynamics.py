@@ -16,14 +16,7 @@ from persuade.dynamics import (
     split_value_linear,
     switch_probabilities,
 )
-from persuade.errors import (
-    BracketDoesNotStraddle,
-    DegenerateBracket,
-    OutOfRange,
-    PriorOutsideBracket,
-    Unreachable,
-    WrongSideOfStationary,
-)
+from persuade.errors import OutOfRange
 from persuade.model import MarkovRates
 
 
@@ -115,9 +108,9 @@ def test_split_full_disclosure_messages_are_truthful():
 
 
 def test_split_signal_errors():
-    with pytest.raises(DegenerateBracket):
+    with pytest.raises(OutOfRange, match="split bracket has zero width"):
         make_split_signal(0.5, 0.5, 0.5)
-    with pytest.raises(PriorOutsideBracket):
+    with pytest.raises(OutOfRange, match="prior 0.9 outside bracket"):
         make_split_signal(0.9, 0.2, 0.6)
     with pytest.raises(OutOfRange):
         make_split_signal(0.0, 0.0, 0.5)    # conditional probs undefined at 0
@@ -144,9 +137,9 @@ def test_split_zero_distance(canon_problem):
 
 
 def test_split_against_the_pull_raises(canon_problem):
-    with pytest.raises(WrongSideOfStationary):
+    with pytest.raises(OutOfRange, match="moves against the drift pull"):
         discounted_time_split(canon_problem, 0.2, 0.1)
-    with pytest.raises(WrongSideOfStationary):
+    with pytest.raises(OutOfRange, match="moves against the drift pull"):
         discounted_time_split(canon_problem, 0.8, 0.9)
 
 
@@ -158,11 +151,11 @@ def test_slide_reach_time_canon_values(canon_problem):
 
 
 def test_slide_unreachable_targets(canon_problem):
-    with pytest.raises(Unreachable):
+    with pytest.raises(OutOfRange, match="cannot reach"):
         discounted_time_slide(canon_problem, 0.2, 0.5)     # p* itself unattained
-    with pytest.raises(Unreachable):
+    with pytest.raises(OutOfRange, match="cannot reach"):
         discounted_time_slide(canon_problem, 0.2, 0.6)     # beyond p*
-    with pytest.raises(Unreachable):
+    with pytest.raises(OutOfRange, match="cannot reach"):
         discounted_time_slide(canon_problem, 0.2, 0.1)     # against the drift
 
 
@@ -210,9 +203,9 @@ def test_split_value_line_is_linear(canon_problem):
 
 
 def test_split_value_line_errors(canon_problem):
-    with pytest.raises(BracketDoesNotStraddle):
+    with pytest.raises(OutOfRange, match="does not contain p"):
         split_value_linear(canon_problem, 0.7, 0.6, 0.8, 0.9, 1.0)
-    with pytest.raises(DegenerateBracket):
+    with pytest.raises(OutOfRange, match="bracket has zero width"):
         split_value_linear(canon_problem, 0.5, 0.5, 0.5, 0.9, 1.0)
     with pytest.raises(OutOfRange):
         split_value_linear(canon_problem, 0.9, 0.4, 0.6, 0.8, 0.95)

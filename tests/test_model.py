@@ -8,14 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from persuade.errors import (
-    BadRates,
-    BadSupport,
-    EnvelopeViolation,
-    NonMonotoneLevels,
-    OutOfRange,
-    ProblemValidationError,
-)
+from persuade.errors import OutOfRange, ProblemValidationError
 from persuade.model import (
     Discounting,
     MarkovRates,
@@ -49,54 +42,54 @@ def test_discount_ratio():
                                              (1.0, -1.0), (math.nan, 1.0), (math.inf, 1.0)])
 def test_bad_switch_rates(lambda0, lambda1):
     # Both rates strictly positive: p* must be interior for the closed forms.
-    with pytest.raises(BadRates):
+    with pytest.raises(ProblemValidationError, match="rate lambda[01] must be a finite positive number"):
         MarkovRates(lambda0=lambda0, lambda1=lambda1)
 
 
 @pytest.mark.parametrize("r", [0.0, -0.5, math.nan, math.inf])
 def test_bad_discount_rate(r):
-    with pytest.raises(BadRates):
+    with pytest.raises(ProblemValidationError, match="discount rate r must be a finite positive number"):
         Discounting(r=r)
 
 
 # --- payoff support validation ------------------------------------------------
 
 def test_support_must_span_unit_interval():
-    with pytest.raises(BadSupport):
+    with pytest.raises(ProblemValidationError, match="first cut must be 0"):
         StepPayoff(cuts=(0.1, 1.0), levels=(0.5,))
-    with pytest.raises(BadSupport):
+    with pytest.raises(ProblemValidationError, match="last cut must be 1"):
         StepPayoff(cuts=(0.0, 0.9), levels=(0.5,))
 
 
 def test_support_rejects_unsorted_and_duplicate_cuts():
-    with pytest.raises(BadSupport):
+    with pytest.raises(ProblemValidationError, match="cuts 0.6 and 0.4 are not increasing"):
         StepPayoff(cuts=(0.0, 0.6, 0.4, 1.0), levels=(0.0, 0.5, 1.0))
-    with pytest.raises(BadSupport):
+    with pytest.raises(ProblemValidationError, match="cuts 0.5 and 0.5 are not increasing"):
         StepPayoff(cuts=(0.0, 0.5, 0.5, 1.0), levels=(0.0, 0.5, 1.0))
 
 
 def test_support_level_count_mismatch():
-    with pytest.raises(BadSupport):
+    with pytest.raises(ProblemValidationError, match="expected 2 levels for 3 cuts, got 3"):
         StepPayoff(cuts=(0.0, 0.5, 1.0), levels=(0.0, 0.5, 1.0))
 
 
 def test_levels_must_strictly_increase():
-    with pytest.raises(NonMonotoneLevels):
+    with pytest.raises(ProblemValidationError, match="levels must strictly increase"):
         StepPayoff(cuts=(0.0, 0.5, 1.0), levels=(0.5, 0.5))
-    with pytest.raises(NonMonotoneLevels):
+    with pytest.raises(ProblemValidationError, match="levels must strictly increase"):
         StepPayoff(cuts=(0.0, 0.5, 1.0), levels=(0.7, 0.2))
 
 
 def test_envelope_violation_names_the_triple():
     # (0.5, 0.2) sits below the chord from (0, 0) to (0.8, 1).
-    with pytest.raises(EnvelopeViolation) as exc:
+    with pytest.raises(ProblemValidationError, match="is not strictly above the chord") as exc:
         StepPayoff(cuts=(0.0, 0.5, 0.8, 1.0), levels=(0.0, 0.2, 1.0))
     msg = str(exc.value)
     assert "(0.5, 0.2)" in msg and "(0.0, 0.0)" in msg and "(0.8, 1.0)" in msg
 
 
 def test_envelope_rejects_collinear_points():
-    with pytest.raises(EnvelopeViolation):
+    with pytest.raises(ProblemValidationError, match="is not strictly above the chord"):
         StepPayoff(cuts=(0.0, 0.5, 0.8, 1.0), levels=(0.0, 0.5, 0.8))
 
 

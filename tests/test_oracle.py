@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from persuade.errors import GridTooCoarse, NoConvergence, OutOfRange
+from persuade.errors import NoConvergence, OracleError, OutOfRange
 from persuade.oracle import (
     _upper_hull,
     contact_gap,
@@ -50,7 +50,7 @@ def test_grid_read_only(canon_problem):
 
 
 def test_grid_too_coarse(canon_problem):
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(OracleError, match="has only 2 grid points"):
         make_grid(canon_problem, 0.5)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from persuade import sim
 from persuade.dynamics import drift_discrete, switch_probabilities
-from persuade.errors import HorizonTooShort, OutOfRange
+from persuade.errors import OutOfRange, SimulationError
 from persuade.oracle import myopic_policy, slide_only_policy
 from persuade.sim import (
     SimConfig,
@@ -41,9 +41,21 @@ def test_config_validation(kwargs):
 
 def test_horizon_too_short(canon_problem, canon_solution):
     config = SimConfig(delta=0.01, horizon=10, n_paths=100, seed=0, initial_belief=0.5)
-    with pytest.raises(HorizonTooShort) as exc:
+    with pytest.raises(SimulationError, match="truncation bound") as exc:
         simulate(canon_problem, canon_solution.policy, config)
     assert "periods" in str(exc.value)
+
+
+@pytest.mark.parametrize("max_tail", [0.0, -1.0, math.nan, math.inf])
+def test_max_tail_must_be_positive(canon_problem, canon_solution, max_tail):
+    # A short horizon so that any finite cap is exceeded; inf turns the check off.
+    config = SimConfig(delta=0.01, horizon=10, n_paths=16, seed=0, initial_belief=0.5)
+    if max_tail == math.inf:
+        assert simulate(canon_problem, canon_solution.policy, config,
+                        max_tail=max_tail).tail_bound > 0.0
+        return
+    with pytest.raises(OutOfRange, match="max_tail must be positive"):
+        simulate(canon_problem, canon_solution.policy, config, max_tail=max_tail)
 
 
 def test_tail_bound_formula(canon_problem, canon_solution):

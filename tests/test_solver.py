@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from persuade.errors import (
-    BadBoundary,
-    BracketViolation,
-    NoRoot,
-    PolicyGap,
-    SolverError,
-)
+from persuade.errors import ProblemValidationError, SolverError
 from persuade.model import parse_problem
 from persuade.solver import (
     MarkovPolicy,
@@ -276,20 +270,20 @@ def test_check_shape_flags_convex_kink():
 
 
 def test_policy_region_validation():
-    with pytest.raises(PolicyGap):
+    with pytest.raises(ProblemValidationError, match="unknown action 'wait'"):
         PolicyRegion(lo=0.0, hi=0.5, action="wait", low_target=None, high_target=None)
-    with pytest.raises(BracketViolation):
+    with pytest.raises(ProblemValidationError, match="without targets"):
         PolicyRegion(lo=0.0, hi=0.5, action="split", low_target=None, high_target=None)
-    with pytest.raises(BracketViolation):
+    with pytest.raises(ProblemValidationError, match="do not contain the region"):
         PolicyRegion(lo=0.0, hi=0.5, action="split", low_target=0.2, high_target=0.8)
 
 
 def test_policy_partition_required():
     slide = PolicyRegion(lo=0.0, hi=0.5, action="slide", low_target=None, high_target=None)
-    with pytest.raises(PolicyGap):
+    with pytest.raises(ProblemValidationError, match="last region ends at 0.5, not 1"):
         MarkovPolicy([slide])      # nothing covers (0.5, 1]
     other = PolicyRegion(lo=0.6, hi=1.0, action="slide", low_target=None, high_target=None)
-    with pytest.raises(PolicyGap):
+    with pytest.raises(ProblemValidationError, match="regions leave a gap between 0.5 and 0.6"):
         MarkovPolicy([slide, other])
 
 
@@ -312,14 +306,14 @@ def test_segment_slide_arc_needs_positive_gap():
 # --- internal guard rails -----------------------------------------------------
 
 def test_boundary_at_or_above_level_rejected(canon_problem):
-    with pytest.raises(BadBoundary):
+    with pytest.raises(SolverError, match="must be strictly below the flow level"):
         _solve_above_interval(canon_problem, 1, 0.95)    # boundary equals level
 
 
 def test_no_sign_change_raises(canon_problem):
     # A tiny coefficient keeps the arc essentially flat at the level, so the
     # pasting residual never crosses zero inside the interval.
-    with pytest.raises(NoRoot):
+    with pytest.raises(SolverError, match="pasting residual has no sign change"):
         _find_cutoff(0.6, 0.8, 0.95, 1.0, -1e-12, 0.5, 0.5)
 
 
