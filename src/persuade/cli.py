@@ -166,6 +166,8 @@ def cmd_oracle(args) -> int:
         "grid_gap": args.grid_gap,
         "tol": args.tol,
         "iterations": result.iterations,
+        "residual": result.residual,
+        "certified_bound": result.bound,
         "grid_points": len(grid),
     })
     return 0

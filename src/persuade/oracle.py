@@ -7,7 +7,10 @@ payoffs phi = (1-x) u + x w on the grid, takes their upper concave hull
 (the sender may split the current belief into any Bayes-plausible pair),
 and reads the hull off at the drifted beliefs.  Values are anchored at the
 start of a period, before the drift step, to match the simulator's event
-order (drift, then split, then payoff).
+order (drift, then split, then payoff).  Since the Bellman operator is
+monotone and shifts a constant c to x c, the last step's smallest and
+largest change bracket the fixed point (MacQueen 1966; Porteus 1971):
+iteration stops once the bracket is narrow and returns its lower end.
 
 Fixed policies are valued exactly by solving the sparse linear system of
 their one-period transition instead of iterating, so policy values carry
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import NoConvergence, OracleError, OutOfRange
 from .model import Problem, _locate
-from .dynamics import drift_map, make_split_signal
+from .dynamics import drift_map
 from .solver import MarkovPolicy, PolicyRegion
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
 _DEDUPE_TOL = 1e-14
 _LEFT_SAMPLE_OFFSET = 1e-12
 _HULL_BEND_TOL = 1e-13
+_HULL_PASSES = 16
 _POLICY_RESIDUAL_TOL = 1e-8
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
@@ -114,6 +118,7 @@ class OracleResult:
     iterations: int
     residual: float
     change_history: np.ndarray | None = None
+    bound: float | None = None
 
     def value(self, p):
         """Linear interpolation of the grid values."""
@@ -125,22 +130,21 @@ class OracleResult:
 def _upper_hull(xs: np.ndarray, ys: np.ndarray):
     """Upper concave envelope vertices of points sorted by x.
 
-    A vectorized prefilter drops points strictly below (or within
-    _HULL_BEND_TOL of) the chord of their neighbors; those can never be hull
-    vertices, and affine-run interiors contribute nothing.  The survivors go
-    through an exact monotone-chain pass.
+    A vectorized chord test drops each point on, below or within
+    _HULL_BEND_TOL of its neighbors' chord, repeating until every interior
+    bend is strictly concave; a run dropped in one pass is convex, so its
+    outer neighbors' chord covers it.  After _HULL_PASSES passes an exact
+    monotone chain (Andrew 1979) finishes the job.
     """
-    n = xs.size
-    if n <= 2:
-        return xs, ys
     thr = _HULL_BEND_TOL * max(1.0, float(np.max(np.abs(ys))))
-    chord = ys[:-2] + (ys[2:] - ys[:-2]) * (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2])
-    keep = np.empty(n, dtype=bool)
-    keep[0] = keep[-1] = True
-    keep[1:-1] = (ys[1:-1] - chord) > thr
-    sx = xs[keep].tolist()
-    sy = ys[keep].tolist()
-
+    for _ in range(_HULL_PASSES):
+        chord = ys[:-2] + (ys[2:] - ys[:-2]) * (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2])
+        bent = (ys[1:-1] - chord) > thr
+        if bent.all():
+            return xs, ys
+        keep = np.concatenate(([True], bent, [True]))
+        xs, ys = xs[keep], ys[keep]
+    sx, sy = xs.tolist(), ys.tolist()
     stack: list[int] = []
     for i in range(len(sx)):
         xi, yi = sx[i], sy[i]
@@ -153,8 +157,7 @@ def _upper_hull(xs: np.ndarray, ys: np.ndarray):
             else:
                 break
         stack.append(i)
-    idx = np.array(stack)
-    return np.asarray(sx)[idx], np.asarray(sy)[idx]
+    return xs[stack], ys[stack]
 
 
 def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
@@ -162,10 +165,13 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
                     max_iter: int = DEFAULT_MAX_ITER) -> OracleResult:
     """Fixed point of the discrete Bellman operator on the grid.
 
-    Stops when the sup-norm change drops to tol * (1 - x), which bounds the
-    remaining distance to the fixed point by tol * x.  Starting from the
-    constant lowest payoff level, iterates increase monotonically, so the
-    returned values never overshoot the true discrete value.
+    With d = w_n - w_{n-1}, the fixed point lies between
+    w_n + x/(1-x) min d and w_n + x/(1-x) max d (MacQueen 1966; Porteus
+    1971, Oper. Res. 19).  Iteration stops when max d - min d drops to
+    tol * (1 - x), so the bracket is at most tol * x wide, and returns its
+    lower end: within tol * x of the true discrete value and never above it.
+    `bound` is the final bracket width; `residual` and `change_history` hold
+    the sup-norm change of the plain iterates.
     """
     if delta <= 0.0:
         raise OutOfRange(f"period length must be positive, got {delta!r}")
@@ -181,15 +187,18 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
         phi = (1.0 - x) * u + x * w
         hx, hy = _upper_hull(pts, phi)
         w_new = np.interp(drifted, hx, hy)
-        change = float(np.max(np.abs(w_new - w)))
-        history.append(change)
+        step = w_new - w
+        low, high = float(np.min(step)), float(np.max(step))
+        history.append(max(high, -low))
         w = w_new
-        if change <= threshold:
-            return OracleResult(grid, w, delta, iteration, change, np.array(history))
+        if high - low <= threshold:
+            scale = x / (1.0 - x)
+            return OracleResult(grid, w + scale * low, delta, iteration, history[-1],
+                                np.array(history), scale * (high - low))
     partial = OracleResult(grid, w, delta, max_iter, history[-1], np.array(history))
     raise NoConvergence(
-        f"value iteration did not reach {threshold:.3e} in {max_iter} steps "
-        f"(last change {history[-1]:.3e})",
+        f"value iteration did not reach a change spread of {threshold:.3e} in "
+        f"{max_iter} steps (last spread {high - low:.3e}, last change {history[-1]:.3e})",
         result=partial,
     )
 
@@ -213,14 +222,6 @@ def dp_split_mask(problem: Problem, result: OracleResult,
     return contact_gap(problem, result) > tol
 
 
-def _interp_entry(pts: np.ndarray, q: float):
-    """(index, weight) pairs expressing q as a convex combination of nodes."""
-    j = int(np.searchsorted(pts, q, side="right")) - 1
-    j = min(max(j, 0), pts.size - 2)
-    t = (q - pts[j]) / (pts[j + 1] - pts[j])
-    return ((j, 1.0 - t), (j + 1, t))
-
-
 def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: float,
                              grid: BeliefGrid) -> OracleResult:
     """Exact grid value of a fixed policy in the discrete game.
@@ -242,32 +243,29 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
     pts = grid.points
     n = pts.size
     a, b = drift_map(problem.rates, delta)
-    payoff = problem.payoff
+    drifted = a + b * pts
+    targets = np.array([(r.low_target, r.high_target) if r.action == "split"
+                        else (math.nan, math.nan) for r in policy.regions])
+    targets = targets[policy.region_index(drifted)]
+    # No make_split_signal check can fail: drift stays in (0, 1), targets bracket it.
+    split = ~np.isnan(targets[:, 0])
+    lo = np.where(split, targets[:, 0], drifted)
+    hi = np.where(split, targets[:, 1], drifted)
+    rho = (drifted - lo) / np.where(split, hi - lo, 1.0)
+    c = (1.0 - rho) * problem.payoff.value(lo) + rho * problem.payoff.value(hi)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    c = np.empty(n)
-    for i in range(n):
-        d = a + b * pts[i]
-        region = policy.region_at(d)
-        if region.action == "slide":
-            c[i] = payoff.value(d)
-            for j, wgt in _interp_entry(pts, d):
-                rows.append(i)
-                cols.append(j)
-                vals.append(wgt)
-            continue
-        lo, hi = region.low_target, region.high_target
-        signal = make_split_signal(d, lo, hi)
-        rho = signal.prob_high
-        c[i] = (1.0 - rho) * payoff.value(lo) + rho * payoff.value(hi)
-        for target, mass in ((lo, 1.0 - rho), (hi, rho)):
-            for j, wgt in _interp_entry(pts, target):
-                rows.append(i)
-                cols.append(j)
-                vals.append(mass * wgt)
-
+    cols, vals = [], []
+    for target, mass in ((lo, 1.0 - rho), (hi, rho)):
+        j = np.clip(np.searchsorted(pts, target, side="right") - 1, 0, n - 2)
+        t = (target - pts[j]) / (pts[j + 1] - pts[j])
+        cols += [j, j + 1]
+        vals += [mass * (1.0 - t), mass * t]
+    # Row-major entries per node: low target's two nodes, then (splits only) high's.
+    keep = np.ones((n, 4), dtype=bool)
+    keep[:, 2:] = split[:, None]
+    rows = np.nonzero(keep)[0]
+    cols = np.column_stack(cols)[keep]
+    vals = np.column_stack(vals)[keep]
     transition = csr_matrix((vals, (rows, cols)), shape=(n, n))
     system = (identity(n, format="csr") - x * transition).tocsc()
     w = spsolve(system, (1.0 - x) * c)

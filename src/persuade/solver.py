@@ -345,16 +345,20 @@ def _find_cutoff(p_j, p_next, h_j, h_next, K, p_star, mu) -> float:
     lo = p_j + _PASTING_EPS
     hi = p_next - _PASTING_EPS
     qs = np.linspace(lo, hi, _SCAN_PANELS + 1)
-    fs = _pasting_residual(qs, h_j, h_next, K, p_star, mu, p_next)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs = _pasting_residual(qs, h_j, h_next, K, p_star, mu, p_next)
     signs = np.sign(fs)
     changes = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     exact = np.nonzero(signs == 0)[0]
     if len(exact) == 1 and len(changes) == 0:
         return float(qs[exact[0]])
     if len(changes) == 0:
+        bad = int(np.count_nonzero(~np.isfinite(fs)))
         raise SolverError(
             f"pasting residual has no sign change in ({lo}, {hi}): "
             f"F({lo})={fs[0]:.3e}, F({hi})={fs[-1]:.3e}"
+            + (f"; {bad} of {fs.size} scan values are not finite, "
+               f"(q - p*)**(-mu) overflows" if bad else "")
         )
     if len(changes) > 1 or len(exact) > 1:
         raise SolverError(f"pasting residual changes sign {len(changes)} times in ({lo}, {hi})")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -129,6 +130,8 @@ def test_oracle_reports_small_errors(tmp_path, canon_config):
     manifest = json.loads((tmp_path / "oracle.csv.manifest.json").read_text())
     assert manifest["parameters"]["delta"] == 0.05
     assert manifest["parameters"]["iterations"] >= 1
+    assert 0.0 <= manifest["parameters"]["residual"]
+    assert 0.0 <= manifest["parameters"]["certified_bound"] <= 1e-6
 
 
 # --- simulate -----------------------------------------------------------------
@@ -243,6 +246,19 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     code = main(["solve", "--config", str(config), "--out", str(tmp_path / "sol.csv")])
     assert code == 4
     assert "solver error: pasting residual has no sign change" in capsys.readouterr().err
+
+
+def test_solver_overflow_reports_one_line(tmp_path, capsys):
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps(dict(CANON_RAW, r=800.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # a numpy RuntimeWarning fails the test
+        code = main(["solve", "--config", str(config), "--out", str(tmp_path / "sol.csv")])
+    assert code == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("solver error: pasting residual has no sign change")
+    assert "(q - p*)**(-mu) overflows" in lines[0]
 
 
 def test_oracle_failure_exit_code(tmp_path, canon_config, capsys):

@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from persuade.dynamics import drift_map, make_split_signal
 from persuade.errors import NoConvergence, OracleError, OutOfRange
 from persuade.oracle import (
+    _HULL_BEND_TOL,
+    _HULL_PASSES,
     _upper_hull,
     contact_gap,
     dp_split_mask,
@@ -19,6 +22,7 @@ from persuade.oracle import (
     slide_only_policy,
     value_iteration,
 )
+from persuade.solver import MarkovPolicy
 
 
 # --- grids --------------------------------------------------------------------
@@ -77,6 +81,70 @@ def test_upper_hull_keeps_concave_input():
     np.testing.assert_allclose(np.interp(xs, hx, hy), ys, atol=1e-12)
 
 
+def _monotone_chain_hull(xs, ys):
+    """Reference hull: Andrew's monotone chain, popping the middle point while
+    it lies within the bend tolerance of (or below) its neighbors' chord."""
+    thr = _HULL_BEND_TOL * max(1.0, float(np.max(np.abs(ys))))
+    stack = []
+    for i in range(xs.size):
+        while len(stack) >= 2:
+            j, k = stack[-2], stack[-1]
+            chord = ys[j] + (ys[i] - ys[j]) * (xs[k] - xs[j]) / (xs[i] - xs[j])
+            if ys[k] - chord > thr:
+                break
+            stack.pop()
+        stack.append(i)
+    return xs[stack], ys[stack]
+
+
+def _prefilter_passes(xs, ys):
+    """Chord-prefilter passes until every interior bend is strictly concave."""
+    thr = _HULL_BEND_TOL * max(1.0, float(np.max(np.abs(ys))))
+    passes = 0
+    while True:
+        passes += 1
+        chord = ys[:-2] + (ys[2:] - ys[:-2]) * (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2])
+        bent = (ys[1:-1] - chord) > thr
+        if bent.all():
+            return passes
+        keep = np.concatenate(([True], bent, [True]))
+        xs, ys = xs[keep], ys[keep]
+
+
+def _hull_cases():
+    rng = np.random.default_rng(11)
+    for size in (3, 5, 40, 400):
+        for _ in range(10):
+            xs = np.unique(rng.uniform(0.0, 1.0, size=size))
+            xs[0], xs[-1] = 0.0, 1.0
+            yield "random", xs, rng.uniform(0.0, 1.0, size=xs.size)
+    xs = np.linspace(0.0, 1.0, 401)
+    # Collinear runs: a concave polyline sampled densely, dented in places.
+    polyline = np.interp(xs, [0.0, 0.3, 0.55, 1.0], [0.0, 0.6, 0.8, 0.9])
+    dents = np.where(rng.uniform(size=xs.size) < 0.2, rng.uniform(0.0, 0.05, xs.size), 0.0)
+    yield "collinear", xs, polyline
+    yield "collinear dented", xs, polyline - dents
+    # Flat plateaus: a step payoff mixed with a concave continuation value.
+    steps = np.array([0.0, 0.5, 0.8, 0.95, 1.0])[np.minimum((xs * 5).astype(int), 4)]
+    yield "plateaus", xs, steps
+    yield "plateaus mixed", xs, 0.1 * steps + 0.9 * (1.0 - (xs - 0.6) ** 2)
+    # A concave arc far below the chord of the endpoints: each pass peels
+    # only the arc's two outermost points, so the prefilter hits its cap.
+    cascade = np.concatenate(([0.0], -1.0 - (xs[1:-1] - 0.5) ** 2, [0.0]))
+    yield "cascade", xs[::5], cascade[::5]
+
+
+def test_upper_hull_matches_monotone_chain():
+    cascades = 0
+    for name, xs, ys in _hull_cases():
+        hx, hy = _upper_hull(xs, ys)
+        rx, ry = _monotone_chain_hull(xs, ys)
+        np.testing.assert_array_equal(hx, rx, err_msg=name)
+        np.testing.assert_array_equal(hy, ry, err_msg=name)
+        cascades += _prefilter_passes(xs, ys) > _HULL_PASSES
+    assert cascades >= 1       # the monotone-chain fallback ran
+
+
 # --- value iteration ----------------------------------------------------------
 
 def test_flat_problem_converges_immediately(flat_problem):
@@ -127,6 +195,20 @@ def test_value_iteration_rejects_bad_delta(canon_problem):
     grid = make_grid(canon_problem, 1e-2)
     with pytest.raises(OutOfRange):
         value_iteration(canon_problem, 0.0, grid)
+
+
+@pytest.mark.parametrize("name", ["canon", "single_disc"])
+def test_value_iteration_bound_is_certified(request, name):
+    problem = request.getfixturevalue(f"{name}_problem")
+    grid = make_grid(problem, 5e-3)
+    delta = 0.05
+    x = math.exp(-problem.discounting.r * delta)
+    res = value_iteration(problem, delta, grid, tol=1e-6)
+    ref = value_iteration(problem, delta, grid, tol=1e-11)
+    assert 0.0 <= res.bound <= 1e-6 * x
+    # Within the certified bound below the fixed point, and never above it.
+    assert np.all(res.values >= ref.values - res.bound - 1e-12)
+    assert np.all(res.values <= ref.values + 1e-12)
 
 
 def test_no_convergence_carries_partial_result(canon_problem):
@@ -206,6 +288,64 @@ def test_full_disclosure_value_closed_form(canon_problem):
     v0, v1 = res.value(0.0), res.value(1.0)
     assert 0.0 <= v0 < v1 <= 1.0
     assert v1 - v0 > 0.2
+
+
+def _per_node_policy_values(problem, policy, delta, grid):
+    """Reference: the transition built node by node, then the same sparse solve."""
+    from scipy.sparse import csr_matrix, identity
+    from scipy.sparse.linalg import spsolve
+
+    x = math.exp(-problem.discounting.r * delta)
+    pts = grid.points
+    n = pts.size
+    a, b = drift_map(problem.rates, delta)
+
+    def entries(q):
+        j = min(max(int(np.searchsorted(pts, q, side="right")) - 1, 0), n - 2)
+        t = (q - pts[j]) / (pts[j + 1] - pts[j])
+        return ((j, 1.0 - t), (j + 1, t))
+
+    rows, cols, vals = [], [], []
+    c = np.empty(n)
+    for i in range(n):
+        d = a + b * pts[i]
+        region = policy.region_at(d)
+        if region.action == "slide":
+            c[i] = problem.payoff.value(d)
+            moves = [(d, 1.0)]
+        else:
+            lo, hi = region.low_target, region.high_target
+            rho = make_split_signal(d, lo, hi).prob_high
+            c[i] = (1.0 - rho) * problem.payoff.value(lo) + rho * problem.payoff.value(hi)
+            moves = [(lo, 1.0 - rho), (hi, rho)]
+        for target, mass in moves:
+            for j, wgt in entries(target):
+                rows.append(i)
+                cols.append(j)
+                vals.append(mass * wgt)
+    transition = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return spsolve((identity(n, format="csr") - x * transition).tocsc(), (1.0 - x) * c)
+
+
+def test_policy_values_match_per_node_reference(canon_problem, canon_solution):
+    grid = make_grid(canon_problem, 5e-3, extra=canon_solution.cutoffs)
+    off_grid = MarkovPolicy.from_dict({"regions": [
+        {"lo": 0.0, "hi": 0.0123456, "action": "slide"},
+        {"lo": 0.0123456, "hi": 0.45, "action": "split", "targets": [0.0123456, 0.4567891]},
+        {"lo": 0.45, "hi": 0.7, "action": "slide"},
+        {"lo": 0.7, "hi": 1.0, "action": "split", "targets": [0.6543211, 1.0]},
+    ]})
+    policies = {
+        "myopic": myopic_policy(canon_problem),
+        "sigma_star": canon_solution.policy,
+        "slide_only": slide_only_policy(canon_problem),
+        "full_disclosure": full_disclosure_policy(canon_problem),
+        "off_grid": off_grid,
+    }
+    for name, policy in policies.items():
+        got = evaluate_policy_discrete(canon_problem, policy, 0.02, grid).values
+        want = _per_node_policy_values(canon_problem, policy, 0.02, grid)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=name)
 
 
 # --- reference policies -------------------------------------------------------
