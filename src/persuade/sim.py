@@ -163,18 +163,21 @@ class _BeliefTable:
     initial belief or a split target) followed by k periods of silent drift,
     so a path carries the code of (atom, k) and code + 1 is one more drift
     step.  Each atom's chain ends at its first drifted belief (k >= 1) that
-    the policy splits, or after `horizon` drift steps.  The message step is
-    two lookups: p_high[code, state] is the chance of the high message, and
-    next_code[code, high] the post-message code (code itself where the
-    policy slides).
+    the policy splits, or after `horizon` drift steps.  A path holds its code
+    and hidden state as one integer s = 2 * code + state, and every period
+    lookup is one take on s: flip[s] is the chance the state flips, p_high[s]
+    the chance of the high message (beta0 or beta1 of the split signal),
+    level[s] the flow payoff u(belief), and next_s[2 * s + high] the
+    post-message s (the same s where the policy slides).
     """
 
     start: int              # code of the initial belief
     belief: np.ndarray      # belief per code
-    level: np.ndarray       # flow payoff u(belief)
-    bin: np.ndarray         # calibration bin of the belief
-    p_high: np.ndarray      # (codes, 2): beta0, beta1 of the split signal
-    next_code: np.ndarray   # (codes, 2): low and high target codes
+    bin: np.ndarray         # calibration bin per code
+    flip: np.ndarray        # per s: P(0->1) or P(1->0)
+    p_high: np.ndarray      # per s: beta0 or beta1
+    level: np.ndarray       # per s: u(belief)
+    next_s: np.ndarray      # per 2 * s + high: post-message s
 
 
 def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> _BeliefTable:
@@ -224,54 +227,52 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
     return _BeliefTable(
         start=offsets[float(config.initial_belief)],
         belief=belief,
-        level=problem.payoff.value(belief),
         bin=np.clip((belief * _N_BINS).astype(np.int64), 0, _N_BINS - 1),
-        p_high=p_high,
-        next_code=next_code,
+        flip=np.tile(switch_probabilities(problem.rates, config.delta), belief.size),
+        p_high=p_high.ravel(),
+        level=np.repeat(problem.payoff.value(belief), 2),
+        next_s=(2 * next_code[:, None, :] + np.arange(2)[:, None]).ravel(),
     )
 
 
-def _run_chunk(table, flip_prob, config, n_paths, seed_seq, weights, want_trace):
-    """Simulate one chunk of paths; returns order-independent aggregates."""
+def _run_chunk(table, config, n_paths, seed_seq, weights, want_trace):
+    """Simulate one chunk; returns payoff sums and occupancy[s], the periods ended at s."""
     rng = np.random.Generator(np.random.Philox(seed_seq))
 
-    state = rng.random(n_paths) < config.initial_belief
-    code = np.full(n_paths, table.start, dtype=np.intp)
-    flip_draw = np.empty(n_paths)
-    message_draw = np.empty(n_paths)
+    s = 2 * table.start + (rng.random(n_paths) < config.initial_belief)
+    draws = np.empty((2, n_paths))  # flip and message uniforms, one fill
     totals = np.zeros(n_paths)
-    bin_counts = np.zeros(_N_BINS, dtype=np.int64)
-    bin_state_one = np.zeros(_N_BINS)  # counts, exact in float64
-    bin_belief_sum = np.zeros(_N_BINS)
+    occupancy = np.zeros(table.flip.size, dtype=np.int64)
     trace = np.empty((config.horizon, 5)) if want_trace else None
 
     for n in range(config.horizon):
-        rng.random(out=flip_draw)
-        rng.random(out=message_draw)
-        state ^= flip_draw < np.take(flip_prob, state)
-        code += 1
-        drifted = table.belief[code[0]] if want_trace else 0.0
-        key = 2 * code  # flat index of [code, 0] in the (codes, 2) tables
-        high = message_draw < np.take(table.p_high, key + state)
-        code = np.take(table.next_code, key + high)
-        totals += weights[n] * np.take(table.level, code)
-        bins = np.take(table.bin, code)
-        bin_counts += np.bincount(bins, minlength=_N_BINS)
-        bin_state_one += np.bincount(bins, weights=state, minlength=_N_BINS)
-        bin_belief_sum += np.bincount(bins, weights=np.take(table.belief, code),
-                                      minlength=_N_BINS)
+        rng.random(out=draws)
+        s ^= draws[0] < np.take(table.flip, s)
+        s += 2
+        drifted = table.belief[s[0] >> 1] if want_trace else 0.0
+        high = draws[1] < np.take(table.p_high, s)
+        s = np.take(table.next_s, 2 * s + high)
+        totals += weights[n] * np.take(table.level, s)
+        np.add.at(occupancy, s, 1)
         if want_trace:
-            trace[n] = (n, (n + 1) * config.delta, float(state[0]), drifted,
-                        table.belief[code[0]])
+            trace[n] = (n, (n + 1) * config.delta, float(s[0] & 1), drifted,
+                        table.belief[s[0] >> 1])
 
-    return (
-        float(np.sum(totals)),
-        float(np.sum(totals * totals)),
-        bin_counts,
-        bin_state_one.astype(np.int64),
-        bin_belief_sum,
-        trace,
-    )
+    return float(np.sum(totals)), float(np.sum(totals * totals)), occupancy, trace
+
+
+def _exact_dot(values: np.ndarray, counts: np.ndarray) -> float:
+    """sum(values * counts), correctly rounded, for integer counts below 2**53.
+
+    Veltkamp's split of the values and a 26-bit split of the counts make
+    every partial product exact, so math.fsum rounds only once.
+    """
+    big = 134217729.0 * values              # (2**27 + 1) * values
+    v_hi = big - (big - values)
+    v_lo = values - v_hi
+    c_hi = (counts >> 26 << 26).astype(float)
+    c_lo = (counts & (2**26 - 1)).astype(float)
+    return math.fsum(np.concatenate([v_hi * c_hi, v_hi * c_lo, v_lo * c_hi, v_lo * c_lo]))
 
 
 def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
@@ -304,11 +305,10 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     sizes = [base + (i < extra) for i in range(n_chunks)]
 
     table = _belief_table(problem, policy, config)
-    flip_prob = np.array(switch_probabilities(problem.rates, config.delta))
 
     def job(i: int):
-        return _run_chunk(table, flip_prob, config, sizes[i], children[i],
-                          weights, record_trace and i == 0)
+        return _run_chunk(table, config, sizes[i], children[i], weights,
+                          record_trace and i == 0)
 
     threads = _thread_count()
     if threads > 1:
@@ -319,10 +319,9 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
 
     total = math.fsum(out[0] for out in outputs)
     total_sq = math.fsum(out[1] for out in outputs)
-    counts = sum(out[2] for out in outputs)
-    state_one = sum(out[3] for out in outputs)
-    belief_sum = sum(out[4] for out in outputs)
-    trace = outputs[0][5]
+    occupancy = sum(out[2] for out in outputs).reshape(-1, 2)  # (code, state)
+    visits = occupancy.sum(axis=1)
+    trace = outputs[0][3]
 
     n = config.n_paths
     mean = total / n
@@ -333,9 +332,10 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
         std_error = math.nan
     edges = np.linspace(0.0, 1.0, _N_BINS + 1)
     calibration = tuple(
-        CalibrationBin(float(edges[k]), float(edges[k + 1]), int(counts[k]),
-                       int(state_one[k]), float(belief_sum[k]))
-        for k in range(_N_BINS)
+        CalibrationBin(float(edges[k]), float(edges[k + 1]), int(visits[in_bin].sum()),
+                       int(occupancy[in_bin, 1].sum()),
+                       _exact_dot(table.belief[in_bin], visits[in_bin]))
+        for k, in_bin in enumerate(table.bin == np.arange(_N_BINS)[:, None])
     )
     return SimResult(
         config=config,

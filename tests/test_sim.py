@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,7 +101,9 @@ def _float_loop_reference(problem, policy, config):
     """One chunk simulated with a float belief per path, region by region.
 
     Returns per-path discounted totals, the calibration tallies and the trace
-    of the first path, for an exact comparison with simulate().
+    of the first path, for an exact comparison with simulate().  Each bin's
+    belief sum is summed exactly over (belief, visit count) pairs and rounded
+    once.
     """
     n_paths, horizon = config.n_paths, config.horizon
     seed_seq = np.random.SeedSequence(config.seed).spawn(1)[0]
@@ -116,7 +120,7 @@ def _float_loop_reference(problem, policy, config):
     totals = np.zeros(n_paths)
     counts = np.zeros(n_bins, dtype=np.int64)
     state_one = np.zeros(n_bins, dtype=np.int64)
-    belief_sum = np.zeros(n_bins)
+    visits = Counter()
     trace = np.empty((horizon, 5))
     for n in range(horizon):
         flip_draw = rng.random(n_paths)
@@ -139,8 +143,12 @@ def _float_loop_reference(problem, policy, config):
         bins = np.clip((belief * n_bins).astype(np.int64), 0, n_bins - 1)
         counts += np.bincount(bins, minlength=n_bins)
         state_one += np.bincount(bins[state], minlength=n_bins)
-        belief_sum += np.bincount(bins, weights=belief, minlength=n_bins)
+        visits.update(dict(zip(*np.unique(belief, return_counts=True))))
         trace[n] = (n, (n + 1) * config.delta, float(state[0]), drifted, belief[0])
+    exact = [Fraction(0)] * n_bins
+    for b, c in visits.items():
+        exact[min(int(b * n_bins), n_bins - 1)] += Fraction(b) * int(c)
+    belief_sum = np.array([float(total) for total in exact])
     return totals, counts, state_one, belief_sum, trace
 
 
