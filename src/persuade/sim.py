@@ -12,14 +12,15 @@ Period weights (1 - x) x^n, n = 0, 1, ..., sum to one over an infinite
 horizon, so simulated means are directly comparable to the solver's value.
 
 Paths are simulated in chunks of at most _CHUNK paths, split evenly (sizes
-differ by at most one), each with its own child of the master seed sequence,
-and chunk aggregates are folded in chunk order with math.fsum.  The chunk
-layout depends only on the path count, so results are bit-identical for a
-given seed no matter how many worker threads run (one per available core by
-default; set PERSUADE_THREADS to override).  The layout is part of the random
-stream: changing _CHUNK or the split changes the result for a given seed.  State
-randomness is drawn before any policy-dependent quantity, so runs with the
-same seed see identical state paths under different policies.
+differ by at most one), each drawing from a PCG64 generator on its own child
+of the master seed sequence.  Chunk payoff sums are folded in chunk order
+with math.fsum and integer visit counts are added, so results are
+bit-identical for a given seed no matter how many worker threads run (one
+per available core by default; set PERSUADE_THREADS to override).  The bit
+generator and the chunk layout are part of the random stream: changing
+either changes the result for a given seed.  State randomness is drawn
+before any policy-dependent quantity, so runs with the same seed see
+identical state paths under different policies.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
 
 def _run_chunk(table, config, n_paths, seed_seq, weights, want_trace):
     """Simulate one chunk; returns payoff sums and occupancy[s], the periods ended at s."""
-    rng = np.random.Generator(np.random.Philox(seed_seq))
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
 
     s = 2 * table.start + (rng.random(n_paths) < config.initial_belief)
     draws = np.empty((2, n_paths))  # flip and message uniforms, one fill
@@ -255,8 +256,7 @@ def _run_chunk(table, config, n_paths, seed_seq, weights, want_trace):
         totals += weights[n] * np.take(table.level, s)
         np.add.at(occupancy, s, 1)
         if want_trace:
-            trace[n] = (n, (n + 1) * config.delta, float(s[0] & 1), drifted,
-                        table.belief[s[0] >> 1])
+            trace[n] = (n, (n + 1) * config.delta, s[0] & 1, drifted, table.belief[s[0] >> 1])
 
     return float(np.sum(totals)), float(np.sum(totals * totals)), occupancy, trace
 

@@ -107,7 +107,7 @@ def _float_loop_reference(problem, policy, config):
     """
     n_paths, horizon = config.n_paths, config.horizon
     seed_seq = np.random.SeedSequence(config.seed).spawn(1)[0]
-    rng = np.random.Generator(np.random.Philox(seed_seq))
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
     prob_up, prob_down = switch_probabilities(problem.rates, config.delta)
     drift0 = drift_discrete(problem.rates, 0.0, config.delta)
     drift_slope = drift_discrete(problem.rates, 1.0, config.delta) - drift0
