@@ -175,6 +175,10 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
     """
     if delta <= 0.0:
         raise OutOfRange(f"period length must be positive, got {delta!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise OutOfRange(f"tolerance must be finite and non-negative, got {tol!r}")
+    if max_iter < 1:
+        raise OutOfRange(f"max_iter must be at least 1, got {max_iter!r}")
     x = math.exp(-problem.discounting.r * delta)
     pts = grid.points
     u = problem.payoff.value(pts)

@@ -165,11 +165,9 @@ class _BeliefTable:
     so a path carries the code of (atom, k) and code + 1 is one more drift
     step.  Each atom's chain ends at its first drifted belief (k >= 1) that
     the policy splits, or after `horizon` drift steps.  A path holds its code
-    and hidden state as one integer s = 2 * code + state, and every period
-    lookup is one take on s: flip[s] is the chance the state flips, p_high[s]
-    the chance of the high message (beta0 or beta1 of the split signal),
-    level[s] the flow payoff u(belief), and next_s[2 * s + high] the
-    post-message s (the same s where the policy slides).
+    and hidden state as one integer s = 2 * code + state, so every period
+    lookup is one take on s; next_s[2 * s + high] is the post-message s
+    (the same s where the policy slides).
     """
 
     start: int              # code of the initial belief
@@ -261,18 +259,19 @@ def _run_chunk(table, config, n_paths, seed_seq, weights, want_trace):
     return float(np.sum(totals)), float(np.sum(totals * totals)), occupancy, trace
 
 
-def _exact_dot(values: np.ndarray, counts: np.ndarray) -> float:
-    """sum(values * counts), correctly rounded, for integer counts below 2**53.
+def _exact_bin_sums(values: np.ndarray, counts: np.ndarray, bins: np.ndarray) -> list[float]:
+    """Per-bin sum(values * counts), correctly rounded; counts are integers below 2**53.
 
-    Veltkamp's split of the values and a 26-bit split of the counts make
-    every partial product exact, so math.fsum rounds only once.
+    Veltkamp's split makes every partial product exact, so math.fsum rounds once.
     """
     big = 134217729.0 * values              # (2**27 + 1) * values
     v_hi = big - (big - values)
     v_lo = values - v_hi
     c_hi = (counts >> 26 << 26).astype(float)
     c_lo = (counts & (2**26 - 1)).astype(float)
-    return math.fsum(np.concatenate([v_hi * c_hi, v_hi * c_lo, v_lo * c_hi, v_lo * c_lo]))
+    parts = np.stack([v_hi * c_hi, v_hi * c_lo, v_lo * c_hi, v_lo * c_lo], axis=1)
+    occupied = set(bins[counts > 0].tolist())
+    return [math.fsum(parts[bins == k].ravel()) if k in occupied else 0.0 for k in range(_N_BINS)]
 
 
 def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
@@ -321,7 +320,9 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     total_sq = math.fsum(out[1] for out in outputs)
     occupancy = sum(out[2] for out in outputs).reshape(-1, 2)  # (code, state)
     visits = occupancy.sum(axis=1)
-    trace = outputs[0][3]
+    counts = np.bincount(table.bin, weights=visits, minlength=_N_BINS)  # exact below 2**53
+    state_one = np.bincount(table.bin, weights=occupancy[:, 1], minlength=_N_BINS)
+    belief_sum = _exact_bin_sums(table.belief, visits, table.bin)
 
     n = config.n_paths
     mean = total / n
@@ -332,10 +333,9 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
         std_error = math.nan
     edges = np.linspace(0.0, 1.0, _N_BINS + 1)
     calibration = tuple(
-        CalibrationBin(float(edges[k]), float(edges[k + 1]), int(visits[in_bin].sum()),
-                       int(occupancy[in_bin, 1].sum()),
-                       _exact_dot(table.belief[in_bin], visits[in_bin]))
-        for k, in_bin in enumerate(table.bin == np.arange(_N_BINS)[:, None])
+        CalibrationBin(float(edges[k]), float(edges[k + 1]), int(counts[k]),
+                       int(state_one[k]), belief_sum[k])
+        for k in range(_N_BINS)
     )
     return SimResult(
         config=config,
@@ -343,7 +343,7 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
         std_error=std_error,
         tail_bound=tail_bound,
         calibration=calibration,
-        trace=trace,
+        trace=outputs[0][3],
     )
 
 

@@ -269,6 +269,17 @@ def test_oracle_failure_exit_code(tmp_path, canon_config, capsys):
         "oracle error: payoff interval [0.0, 0.2) has only 2 grid points")
 
 
+@pytest.mark.parametrize("command", ["oracle", "sweep"])
+def test_negative_tolerance_is_rejected(tmp_path, canon_config, capsys, command):
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", canon_config, "--out", str(out), "--tol", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        "error: tolerance must be finite and non-negative, got -1.0"]
+    assert not out.exists()
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_sweep_single_delta(tmp_path, canon_config):

@@ -1,0 +1,28 @@
+"""Smoke test: every demo script runs to completion from the repository root."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ["demos/simulate_policies.py", "--paths", "2000"],
+    ["demos/solve_and_plot.py"],
+    ["demos/convergence_sweep.py"],
+], ids=lambda argv: Path(argv[0]).stem)
+def test_demo_runs(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout

@@ -197,6 +197,22 @@ def test_value_iteration_rejects_bad_delta(canon_problem):
         value_iteration(canon_problem, 0.0, grid)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"tol": -1.0}, "tolerance"), ({"tol": math.nan}, "tolerance"),
+    ({"tol": math.inf}, "tolerance"), ({"max_iter": 0}, "max_iter"),
+])
+def test_value_iteration_rejects_bad_arguments(canon_problem, kwargs, match):
+    grid = make_grid(canon_problem, 1e-2)
+    with pytest.raises(OutOfRange, match=match):
+        value_iteration(canon_problem, 0.05, grid, **kwargs)
+
+
+def test_value_iteration_zero_tol_converges(flat_problem):
+    grid = make_grid(flat_problem, 1e-2)
+    res = value_iteration(flat_problem, 0.05, grid, tol=0.0)
+    assert res.bound == 0.0
+
+
 @pytest.mark.parametrize("name", ["canon", "single_disc"])
 def test_value_iteration_bound_is_certified(request, name):
     problem = request.getfixturevalue(f"{name}_problem")

@@ -213,6 +213,31 @@ def test_thread_count_does_not_change_results(canon_problem, canon_solution, mon
     assert serial.calibration == threaded.calibration
 
 
+def test_policies_share_state_paths(canon_problem, canon_solution, monkeypatch):
+    # Common random numbers: the state draws do not depend on the policy.
+    monkeypatch.setattr(sim, "_CHUNK", 4096)
+    config = SimConfig(delta=0.01, horizon=300, n_paths=9000, seed=23, initial_belief=0.4)
+    runs = [simulate(canon_problem, policy, config, record_trace=True)
+            for policy in (canon_solution.policy, myopic_policy(canon_problem),
+                           slide_only_policy(canon_problem))]
+    for res in runs[1:]:
+        np.testing.assert_array_equal(res.trace[:, 2], runs[0].trace[:, 2])
+    ones = [sum(b.state_one for b in res.calibration) for res in runs]
+    assert ones == [ones[0]] * 3
+    # Silence visits other beliefs than sigma_star, yet the states agree.
+    assert runs[2].calibration != runs[0].calibration
+
+
+def test_long_table_tallies(canon_problem):
+    # Silent drift from 0.3 for 20,000 periods: a chain of about 20k codes.
+    config = SimConfig(delta=0.001, horizon=20_000, n_paths=100, seed=4, initial_belief=0.3)
+    res = simulate(canon_problem, slide_only_policy(canon_problem), config)
+    assert sum(b.count for b in res.calibration) == 100 * 20_000
+    for b in res.calibration:
+        if b.count:
+            assert b.lo - 1e-12 <= b.predicted <= b.hi + 1e-12
+
+
 def test_different_seeds_differ(canon_problem, canon_solution):
     config = SimConfig(delta=0.01, horizon=300, n_paths=500, seed=0, initial_belief=0.4)
     other = SimConfig(delta=0.01, horizon=300, n_paths=500, seed=1, initial_belief=0.4)
