@@ -27,7 +27,6 @@ from .dynamics import (
     drift_discrete,
     make_split_signal,
     split_value_linear,
-    switch_probabilities,
 )
 from .solver import (
     MarkovPolicy,
@@ -63,7 +62,6 @@ __all__ = [
     "problem_to_dict",
     "drift_continuous",
     "drift_discrete",
-    "switch_probabilities",
     "SplitSignal",
     "make_split_signal",
     "ReachTime",

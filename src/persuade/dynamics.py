@@ -36,7 +36,6 @@ __all__ = [
     "drift_continuous",
     "drift_discrete",
     "drift_map",
-    "switch_probabilities",
     "SplitSignal",
     "make_split_signal",
     "ReachTime",
@@ -88,19 +87,6 @@ def drift_map(rates: MarkovRates, delta: float) -> tuple[float, float]:
     """
     a = drift_discrete(rates, 0.0, delta)
     return a, drift_discrete(rates, 1.0, delta) - a
-
-
-def switch_probabilities(rates: MarkovRates, delta: float) -> tuple[float, float]:
-    """Per-period state switch draws (P(0->1), P(1->0)) = (1-e^{-lambda0 d}, 1-e^{-lambda1 d}).
-
-    These are the independent-exponential switch probabilities the discrete
-    game is defined with; they differ from the exact chain embedding at
-    O(delta^2), which is why drift_discrete uses the conditional-expectation
-    form instead.
-    """
-    if delta <= 0.0:
-        raise OutOfRange(f"period length must be positive, got {delta!r}")
-    return 1.0 - math.exp(-rates.lambda0 * delta), 1.0 - math.exp(-rates.lambda1 * delta)
 
 
 @dataclass(frozen=True, slots=True)

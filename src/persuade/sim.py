@@ -8,6 +8,9 @@ A period runs in the game's event order: the state may flip, the belief
 drifts by one no-information step, the policy acts at the drifted belief
 (a split draws the message conditionally on the true state), and the
 period payoff (1 - x) x^n u(belief) accrues at the post-message belief.
+Flips and drift follow one law, the chain's exact period embedding
+p -> a + b p (dynamics.drift_map): P(0->1) = a and P(1->0) = 1 - a - b, so
+a path's belief is the exact posterior of its simulated state.
 Period weights (1 - x) x^n, n = 0, 1, ..., sum to one over an infinite
 horizon, so simulated means are directly comparable to the solver's value.
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import OutOfRange, SimulationError
 from .model import Problem
-from .dynamics import SplitSignal, drift_map, make_split_signal, switch_probabilities
+from .dynamics import SplitSignal, drift_map, make_split_signal
 from .solver import MarkovPolicy, Solution
 
 __all__ = [
@@ -173,7 +176,7 @@ class _BeliefTable:
     start: int              # code of the initial belief
     belief: np.ndarray      # belief per code
     bin: np.ndarray         # calibration bin per code
-    flip: np.ndarray        # per s: P(0->1) or P(1->0)
+    flip: np.ndarray        # per s: P(0->1) = a or P(1->0) = 1 - a - b
     p_high: np.ndarray      # per s: beta0 or beta1
     level: np.ndarray       # per s: u(belief)
     next_s: np.ndarray      # per 2 * s + high: post-message s
@@ -227,7 +230,7 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
         start=offsets[float(config.initial_belief)],
         belief=belief,
         bin=np.clip((belief * _N_BINS).astype(np.int64), 0, _N_BINS - 1),
-        flip=np.tile(switch_probabilities(problem.rates, config.delta), belief.size),
+        flip=np.tile((drift0, 1.0 - drift0 - drift_slope), belief.size),
         p_high=p_high.ravel(),
         level=np.repeat(problem.payoff.value(belief), 2),
         next_s=(2 * next_code[:, None, :] + np.arange(2)[:, None]).ravel(),
@@ -309,7 +312,7 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
         return _run_chunk(table, config, sizes[i], children[i], weights,
                           record_trace and i == 0)
 
-    threads = _thread_count()
+    threads = min(_thread_count(), n_chunks)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outputs = list(pool.map(job, range(n_chunks)))

@@ -9,16 +9,24 @@ stationary belief p* (cuts p_0 = c_k <= p* < p_1 = c_{k+1}):
     v(c_i) = Y h_i + (1-Y) v(c_{i+1}) with the split reach time Y, and the
     value is linear between consecutive cuts (immediate split);
   * above p_1: on each interval [p_j, p_{j+1}] the value starts as a slide
-    arc  w(p) = h_j + K_j (p - p*)^(-mu),  K_j = (v(p_j) - h_j)(p_j - p*)^mu,
-    which solves w'(p)(p - p*) + mu (w(p) - h_j) = 0 exactly, and switches at
-    a cutoff q_j to a straight segment reaching the next cut.  The cutoff is
-    the root of the smooth-pasting residual
+    arc anchored at its left cut,
 
-        F(q) = w(q) + w'(q)(p_{j+1} - q) - h_{j+1} + w'(q)(p_{j+1} - p*)/mu,
+        w(p) = h_j + (v(p_j) - h_j) ((p_j - p*)/(p - p*))^mu,
+
+    which solves w'(p)(p - p*) + mu (w(p) - h_j) = 0 exactly (the ratio is
+    at most 1, so no power overflows), and switches at a cutoff q_j to a
+    straight segment reaching the next cut.  The cutoff is the root of the
+    smooth-pasting residual
+
+        F(q) = w(q) + w'(q)(p_{j+1} - q) - h_{j+1} + w'(q)(p_{j+1} - p*)/mu
+             = h_j - h_{j+1} + (mu + 1)(w'(q)/mu)(p_{j+1} - q),
 
     which simultaneously enforces tangency of the straight piece at q and
     the corner condition  slope = mu (h_{j+1} - v(p_{j+1})) / (p_{j+1} - p*)
-    at the next cut.  The top interval slides all the way to 1.
+    at the next cut.  dF/dq = w''(q)((p_{j+1} - q) + (p_{j+1} - p*)/mu) < 0
+    because v(p_j) < h_j makes the arc strictly concave, so F has exactly one
+    root on [p_j, p_{j+1}] when F(p_j) > 0 > F(p_{j+1}) = h_j - h_{j+1}, and
+    none otherwise.  The top interval slides all the way to 1.
 
 Splitting at a region's own left endpoint is a no-op (the low posterior
 equals the point itself), so the half-open region encoding below assigns
@@ -27,7 +35,6 @@ slide-equivalent behavior at every cutoff boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +59,6 @@ __all__ = [
 _CONTINUITY_TOL = 1e-10
 _CONCAVITY_TOL = 1e-8
 _MONOTONE_TOL = 1e-10
-_PASTING_EPS = 1e-10     # offset of the root bracket from the interval ends
-_PASTING_WIDTH = 1e-12   # bisection stops at this bracket width
-_PASTING_MAX_ITER = 200
-_SCAN_PANELS = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,8 +66,9 @@ class ValueSegment:
     """One piece of the value function on [lo, hi].
 
     kind "linear": value = intercept + slope * p.
-    kind "slide_arc": value = level + coef * (p - center)^(-exponent) with
-    coef <= 0 and the segment strictly above the center (p - center > 0).
+    kind "slide_arc": value = level + (start - level) * ratio^exponent with
+    ratio = (lo - center) / (p - center), so start is the value at lo; the
+    segment lies strictly above the center (lo - center > 0).
     """
 
     lo: float
@@ -73,7 +77,7 @@ class ValueSegment:
     intercept: float = 0.0
     slope: float = 0.0
     level: float = 0.0
-    coef: float = 0.0
+    start: float = 0.0
     center: float = 0.0
     exponent: float = 0.0
 
@@ -82,35 +86,41 @@ class ValueSegment:
         return ValueSegment(lo=lo, hi=hi, kind="linear", intercept=intercept, slope=slope)
 
     @staticmethod
-    def slide_arc(lo: float, hi: float, level: float, coef: float,
+    def slide_arc(lo: float, hi: float, level: float, start: float,
                   center: float, exponent: float) -> "ValueSegment":
         if lo <= center:
             raise SolverError(f"slide arc must lie strictly above its center: lo={lo}, center={center}")
         return ValueSegment(lo=lo, hi=hi, kind="slide_arc", level=level,
-                            coef=coef, center=center, exponent=exponent)
+                            start=start, center=center, exponent=exponent)
+
+    def _decay(self, p):
+        """((lo - center) / (p - center))^exponent and p - center."""
+        gap = np.asarray(p, dtype=float) - self.center
+        return ((self.lo - self.center) / gap) ** self.exponent, gap
 
     def value_at(self, p):
         if self.kind == "linear":
             return self.intercept + self.slope * np.asarray(p, dtype=float)
-        return self.level + self.coef * (np.asarray(p, dtype=float) - self.center) ** (-self.exponent)
+        return self.level + (self.start - self.level) * self._decay(p)[0]
 
     def derivative_at(self, p):
         if self.kind == "linear":
             return np.full_like(np.asarray(p, dtype=float), self.slope)
-        return -self.exponent * self.coef * (np.asarray(p, dtype=float) - self.center) ** (-self.exponent - 1.0)
+        decay, gap = self._decay(p)
+        return self.exponent * (self.level - self.start) * decay / gap
 
     def to_dict(self) -> dict:
         if self.kind == "linear":
             return {"lo": self.lo, "hi": self.hi, "kind": "linear",
                     "intercept": self.intercept, "slope": self.slope}
         return {"lo": self.lo, "hi": self.hi, "kind": "slide_arc", "level": self.level,
-                "coef": self.coef, "center": self.center, "exponent": self.exponent}
+                "start": self.start, "center": self.center, "exponent": self.exponent}
 
     @staticmethod
     def from_dict(d: dict) -> "ValueSegment":
         if d["kind"] == "linear":
             return ValueSegment.linear(d["lo"], d["hi"], d["intercept"], d["slope"])
-        return ValueSegment.slide_arc(d["lo"], d["hi"], d["level"], d["coef"],
+        return ValueSegment.slide_arc(d["lo"], d["hi"], d["level"], d["start"],
                                       d["center"], d["exponent"])
 
 
@@ -334,48 +344,30 @@ def _solve_below(problem: Problem, v_at_p0: float):
     return segments, regions
 
 
-def _pasting_residual(q, h_j, h_next, K, p_star, mu, p_next):
-    w = h_j + K * (q - p_star) ** (-mu)
-    dw = -mu * K * (q - p_star) ** (-mu - 1.0)
-    return w + dw * (p_next - q) - h_next + dw * (p_next - p_star) / mu
+def _pasting_residual(q, h_j, h_next, v_j, p_j, p_star, mu, p_next):
+    gap = q - p_star
+    decay = ((p_j - p_star) / gap) ** mu
+    return h_j - h_next + (h_j - v_j) * (mu + 1.0) * decay * (p_next - q) / gap
 
 
-def _find_cutoff(p_j, p_next, h_j, h_next, K, p_star, mu) -> float:
-    """Locate the unique sign change of the pasting residual, then bisect."""
-    lo = p_j + _PASTING_EPS
-    hi = p_next - _PASTING_EPS
-    qs = np.linspace(lo, hi, _SCAN_PANELS + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fs = _pasting_residual(qs, h_j, h_next, K, p_star, mu, p_next)
-    signs = np.sign(fs)
-    changes = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    exact = np.nonzero(signs == 0)[0]
-    if len(exact) == 1 and len(changes) == 0:
-        return float(qs[exact[0]])
-    if len(changes) == 0:
-        bad = int(np.count_nonzero(~np.isfinite(fs)))
+def _find_cutoff(p_j, p_next, h_j, h_next, v_j, p_star, mu) -> float:
+    """Bisect the pasting residual, decreasing on [p_j, p_next], to adjacent floats."""
+    def residual(q):
+        return _pasting_residual(q, h_j, h_next, v_j, p_j, p_star, mu, p_next)
+
+    f_lo, f_hi = residual(p_j), residual(p_next)
+    if not f_lo > 0.0 > f_hi:
         raise SolverError(
-            f"pasting residual has no sign change in ({lo}, {hi}): "
-            f"F({lo})={fs[0]:.3e}, F({hi})={fs[-1]:.3e}"
-            + (f"; {bad} of {fs.size} scan values are not finite, "
-               f"(q - p*)**(-mu) overflows" if bad else "")
+            f"pasting residual has no sign change in [{p_j}, {p_next}]: "
+            f"F({p_j})={f_lo:.3e}, F({p_next})={f_hi:.3e}"
         )
-    if len(changes) > 1 or len(exact) > 1:
-        raise SolverError(f"pasting residual changes sign {len(changes)} times in ({lo}, {hi})")
-    a, b = float(qs[changes[0]]), float(qs[changes[0] + 1])
-    fa = float(_pasting_residual(a, h_j, h_next, K, p_star, mu, p_next))
-    for _ in range(_PASTING_MAX_ITER):
-        if b - a <= _PASTING_WIDTH:
-            break
-        mid = 0.5 * (a + b)
-        fm = float(_pasting_residual(mid, h_j, h_next, K, p_star, mu, p_next))
-        if fm == 0.0:
-            return mid
-        if (fa > 0) == (fm > 0):
-            a, fa = mid, fm
+    a, b = p_j, p_next
+    while (mid := 0.5 * (a + b)) not in (a, b):
+        if residual(mid) > 0.0:
+            a = mid
         else:
             b = mid
-    return 0.5 * (a + b)
+    return mid
 
 
 def _solve_above_interval(problem: Problem, j: int, v_at_pj: float):
@@ -391,17 +383,16 @@ def _solve_above_interval(problem: Problem, j: int, v_at_pj: float):
         raise SolverError(
             f"value {v_at_pj} at cut {p_j} must be strictly below the flow level {h_j}"
         )
-    K = (v_at_pj - h_j) * (p_j - p_star) ** mu
 
     top = (k + j) == len(levels) - 1
     if top:
-        segment = ValueSegment.slide_arc(p_j, 1.0, h_j, K, p_star, mu)
+        segment = ValueSegment.slide_arc(p_j, 1.0, h_j, v_at_pj, p_star, mu)
         region = PolicyRegion(p_j, 1.0, "slide")
         return [segment], [region], None, float(segment.value_at(1.0))
 
     h_next = levels[k + j + 1]
-    q = _find_cutoff(p_j, p_next, h_j, h_next, K, p_star, mu)
-    arc = ValueSegment.slide_arc(p_j, q, h_j, K, p_star, mu)
+    q = _find_cutoff(p_j, p_next, h_j, h_next, v_at_pj, p_star, mu)
+    arc = ValueSegment.slide_arc(p_j, q, h_j, v_at_pj, p_star, mu)
     slope = float(arc.derivative_at(q))
     v_q = float(arc.value_at(q))
     v_next = h_next - slope * (p_next - p_star) / mu

@@ -59,6 +59,12 @@ FLAT_RAW = {
 }
 
 
+def canon_variant(p_star: float, mu: float = 0.5) -> dict:
+    """Canon cuts and levels with the stationary belief and mu = r / (lambda0 + lambda1) moved."""
+    lambda0 = p_star / (1.0 - p_star)
+    return dict(CANON_RAW, lambda0=lambda0, lambda1=1.0, r=mu * (lambda0 + 1.0))
+
+
 @pytest.fixture(scope="session")
 def canon_problem() -> Problem:
     return parse_problem(CANON_RAW)

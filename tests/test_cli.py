@@ -10,7 +10,7 @@ import pytest
 
 from persuade.cli import main
 
-from conftest import CANON_RAW, FLAT_RAW, SINGLE_DISC_RAW
+from conftest import CANON_RAW, FLAT_RAW, SINGLE_DISC_RAW, canon_variant
 
 
 @pytest.fixture()
@@ -239,26 +239,25 @@ def test_simulate_malformed_policy_file(tmp_path, canon_config, capsys, policy):
 # --- exit codes of the solver and oracle families ------------------------------
 
 def test_solver_failure_exit_code(tmp_path, capsys):
-    # mu = 400 on the canon cuts: the slide arc overflows and the pasting
-    # residual has no sign change.
+    # p* = 0.4 - 2e-12 on the canon cuts: the line pasted on [0.4, 0.6] misses
+    # the next arc's start by more than the continuity tolerance.
     config = tmp_path / "problem.json"
-    config.write_text(json.dumps(dict(CANON_RAW, r=800.0)))
+    config.write_text(json.dumps(canon_variant(0.4 - 2e-12)))
     code = main(["solve", "--config", str(config), "--out", str(tmp_path / "sol.csv")])
     assert code == 4
-    assert "solver error: pasting residual has no sign change" in capsys.readouterr().err
+    assert "solver error: value discontinuity" in capsys.readouterr().err
 
 
 def test_solver_overflow_reports_one_line(tmp_path, capsys):
     config = tmp_path / "problem.json"
-    config.write_text(json.dumps(dict(CANON_RAW, r=800.0)))
+    config.write_text(json.dumps(canon_variant(0.4 - 2e-12)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")        # a numpy RuntimeWarning fails the test
         code = main(["solve", "--config", str(config), "--out", str(tmp_path / "sol.csv")])
     assert code == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("solver error: pasting residual has no sign change")
-    assert "(q - p*)**(-mu) overflows" in lines[0]
+    assert lines[0].startswith("solver error: value discontinuity")
 
 
 def test_oracle_failure_exit_code(tmp_path, canon_config, capsys):

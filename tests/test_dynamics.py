@@ -14,7 +14,6 @@ from persuade.dynamics import (
     drift_discrete,
     make_split_signal,
     split_value_linear,
-    switch_probabilities,
 )
 from persuade.errors import OutOfRange
 from persuade.model import MarkovRates
@@ -64,15 +63,6 @@ def test_drift_argument_checks():
         drift_continuous(rates, 0.5, -0.1)
     with pytest.raises(OutOfRange):
         drift_discrete(rates, 0.5, 0.0)
-
-
-def test_switch_probabilities_literal_form():
-    rates = MarkovRates(0.7, 1.9)
-    up, down = switch_probabilities(rates, 0.25)
-    assert up == 1.0 - math.exp(-0.7 * 0.25)
-    assert down == 1.0 - math.exp(-1.9 * 0.25)
-    with pytest.raises(OutOfRange):
-        switch_probabilities(rates, 0.0)
 
 
 # --- binary splits ------------------------------------------------------------

@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from persuade import sim
-from persuade.dynamics import drift_discrete, switch_probabilities
+from persuade.dynamics import drift_discrete
 from persuade.errors import OutOfRange, SimulationError
 from persuade.oracle import myopic_policy, slide_only_policy
 from persuade.sim import (
@@ -108,9 +109,9 @@ def _float_loop_reference(problem, policy, config):
     n_paths, horizon = config.n_paths, config.horizon
     seed_seq = np.random.SeedSequence(config.seed).spawn(1)[0]
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    prob_up, prob_down = switch_probabilities(problem.rates, config.delta)
     drift0 = drift_discrete(problem.rates, 0.0, config.delta)
     drift_slope = drift_discrete(problem.rates, 1.0, config.delta) - drift0
+    prob_up, prob_down = drift0, 1.0 - drift0 - drift_slope
     x = math.exp(-problem.discounting.r * config.delta)
     weights = (1.0 - x) * x ** np.arange(horizon)
     n_bins = 21
@@ -211,6 +212,30 @@ def test_thread_count_does_not_change_results(canon_problem, canon_solution, mon
     assert serial.mean_discounted_payoff == threaded.mean_discounted_payoff
     assert serial.std_error == threaded.std_error
     assert serial.calibration == threaded.calibration
+
+
+def test_workers_capped_at_chunk_count(canon_problem, canon_solution, monkeypatch):
+    # One chunk needs one worker, so it starts no pool; three chunks get three.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started for a single chunk")
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("PERSUADE_THREADS", "2")
+    config = SimConfig(delta=0.01, horizon=300, n_paths=sim._CHUNK, seed=3, initial_belief=0.4)
+    assert math.isfinite(simulate(canon_problem, canon_solution.policy, config).mean_discounted_payoff)
+
+    workers = []
+
+    def recording_pool(max_workers):
+        workers.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(sim, "_CHUNK", 4096)
+    monkeypatch.setenv("PERSUADE_THREADS", "8")
+    simulate(canon_problem, canon_solution.policy, SimConfig(
+        delta=0.01, horizon=300, n_paths=9000, seed=3, initial_belief=0.4))
+    assert workers == [3]
 
 
 def test_policies_share_state_paths(canon_problem, canon_solution, monkeypatch):

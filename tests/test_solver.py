@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from persuade.solver import (
     verify_solution,
 )
 
-from conftest import CANON_RAW, random_instance
+from conftest import CANON_RAW, canon_variant, random_instance
 
 # Value of the canon instance at selected beliefs.  Everything up to 0.6 is
 # exactly rational (chords of the endpoint recursion and the center line);
@@ -300,7 +301,7 @@ def test_policy_region_lookup(canon_solution):
 
 def test_segment_slide_arc_needs_positive_gap():
     with pytest.raises(SolverError):
-        ValueSegment.slide_arc(0.4, 0.6, level=1.0, coef=-0.1, center=0.5, exponent=0.5)
+        ValueSegment.slide_arc(0.4, 0.6, level=1.0, start=-0.1, center=0.5, exponent=0.5)
 
 
 # --- internal guard rails -----------------------------------------------------
@@ -311,10 +312,10 @@ def test_boundary_at_or_above_level_rejected(canon_problem):
 
 
 def test_no_sign_change_raises(canon_problem):
-    # A tiny coefficient keeps the arc essentially flat at the level, so the
-    # pasting residual never crosses zero inside the interval.
+    # A start a hair below the level keeps the arc essentially flat at the
+    # level, so the pasting residual never crosses zero inside the interval.
     with pytest.raises(SolverError, match="pasting residual has no sign change"):
-        _find_cutoff(0.6, 0.8, 0.95, 1.0, -1e-12, 0.5, 0.5)
+        _find_cutoff(0.6, 0.8, 0.95, 1.0, 0.95 - 1e-12, 0.5, 0.5)
 
 
 # --- verification -------------------------------------------------------------
@@ -345,7 +346,7 @@ def test_verify_flags_value_below_payoff(canon_problem, canon_solution):
     segs = [
         ValueSegment.linear(s.lo, s.hi, s.intercept * 0.5, s.slope * 0.5)
         if s.kind == "linear"
-        else ValueSegment.slide_arc(s.lo, s.hi, s.level * 0.5, s.coef * 0.5,
+        else ValueSegment.slide_arc(s.lo, s.hi, s.level * 0.5, s.start * 0.5,
                                     s.center, s.exponent)
         for s in canon_solution.value.segments
     ]
@@ -363,3 +364,75 @@ def test_verify_random_instances():
         sol = solve(prob)
         rep = verify_solution(prob, sol, n_points=2000)
         assert rep.ok, (prob.payoff.cuts, [dataclasses.astuple(v) for v in rep.violations])
+
+
+# --- scale-free slide arcs ----------------------------------------------------
+
+def wide_mu_instance(rng: np.random.Generator) -> dict:
+    """2..8 steps, cuts >= 0.06 apart, p* >= 0.03 from every cut, mu log-uniform on [1e-4, 1e4]."""
+    n_steps = int(rng.integers(2, 9))
+    gaps = 0.06 + (1.0 - 0.06 * n_steps) * rng.dirichlet(np.ones(n_steps))
+    cuts = np.concatenate(([0.0], np.cumsum(gaps)[:-1], [1.0]))
+    while True:
+        lambda0, lambda1 = rng.uniform(0.4, 2.5, size=2)
+        if np.min(np.abs(cuts - lambda0 / (lambda0 + lambda1))) >= 0.03:
+            break
+    mu = math.exp(rng.uniform(math.log(1e-4), math.log(1e4)))
+    slopes = rng.uniform(0.35, 0.8) ** np.arange(n_steps - 1)
+    levels = np.concatenate(([0.0], np.cumsum(slopes * np.diff(cuts[:-1]))))
+    return {"lambda0": lambda0, "lambda1": lambda1, "r": mu * (lambda0 + lambda1),
+            "cuts": cuts.tolist(), "levels": levels.tolist()}
+
+
+def solve_and_verify(raw):
+    problem = parse_problem(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = solve(problem)
+        report = verify_solution(problem, solution, n_points=2000)
+    assert report.ok, (raw, [dataclasses.astuple(v) for v in report.violations])
+
+
+def test_solve_scale_free_in_mu():
+    rng = np.random.default_rng(2027)
+    for _ in range(400):
+        solve_and_verify(wide_mu_instance(rng))
+
+
+@pytest.mark.parametrize("r", [800.0, 2000.0, 10000.0])
+def test_canon_solves_at_large_mu(r):
+    solve_and_verify(dict(CANON_RAW, r=r))
+
+
+@pytest.mark.parametrize("p_star", [
+    cut + offset
+    for cut in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    for offset in (-1e-3, -1e-4, 1e-4, 1e-3)
+    if 0.0 < cut + offset < 1.0
+])
+def test_canon_stationary_belief_near_cut(p_star):
+    solve_and_verify(canon_variant(p_star))
+
+
+def test_cutoff_matches_power_form_root():
+    # The pasting residual in its unanchored form, with K = (v(p_j) - h_j)(p_j - p*)^mu
+    # read off each solved arc; it is safe from overflow at random_instance's mu.
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        problem = random_instance(rng)
+        solution = solve(problem)
+        segments = solution.value.segments
+        for arc, line in zip(segments, segments[1:]):
+            if arc.kind != "slide_arc" or line.kind != "linear":
+                continue
+            p_star, mu, p_next = arc.center, arc.exponent, line.hi
+            k = (arc.start - arc.level) * (arc.lo - p_star) ** mu
+            h_next = problem.payoff.value(p_next)
+
+            def residual(q):
+                slope = -mu * k * (q - p_star) ** (-mu - 1.0)
+                return (arc.level + k * (q - p_star) ** -mu + slope * (p_next - q) - h_next
+                        + slope * (p_next - p_star) / mu)
+
+            root = brentq(residual, arc.lo, p_next, xtol=1e-15)
+            assert abs(arc.hi - root) <= 1e-12
