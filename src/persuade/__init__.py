@@ -19,12 +19,9 @@ from .model import (
     validate_problem,
 )
 from .dynamics import (
-    ReachTime,
     SplitSignal,
     discounted_time_slide,
     discounted_time_split,
-    drift_continuous,
-    drift_discrete,
     make_split_signal,
     split_value_linear,
 )
@@ -60,11 +57,8 @@ __all__ = [
     "parse_problem",
     "load_problem",
     "problem_to_dict",
-    "drift_continuous",
-    "drift_discrete",
     "SplitSignal",
     "make_split_signal",
-    "ReachTime",
     "discounted_time_split",
     "discounted_time_slide",
     "split_value_linear",

@@ -33,12 +33,9 @@ from .errors import OutOfRange
 from .model import MarkovRates, Problem
 
 __all__ = [
-    "drift_continuous",
-    "drift_discrete",
     "drift_map",
     "SplitSignal",
     "make_split_signal",
-    "ReachTime",
     "discounted_time_split",
     "discounted_time_slide",
     "split_value_linear",
@@ -52,41 +49,21 @@ def _check_belief(name: str, p: float) -> None:
         raise OutOfRange(f"{name} outside [0, 1]: {p!r}")
 
 
-def drift_continuous(rates: MarkovRates, p: float, t: float) -> float:
-    """Belief after sliding silently for time t >= 0."""
-    _check_belief("p", p)
-    if t < 0.0:
-        raise OutOfRange(f"time must be nonnegative, got {t!r}")
-    p_star = rates.stationary_belief
-    return p_star + (p - p_star) * math.exp(-rates.switch_rate * t)
+def drift_map(rates: MarkovRates, delta: float) -> tuple[float, float]:
+    """Affine one-period no-information drift (a, b): p -> a + b p.
 
-
-def drift_discrete(rates: MarkovRates, p: float, delta: float) -> float:
-    """One-period no-information posterior.
-
-    Computed through the period transition probabilities of the chain,
-    P(0->1) = p*(1 - e^{-Lambda delta}) and P(1->0) = (1-p*)(1 - e^{-Lambda delta}),
-    which makes this algebraically identical to drift_continuous(p, delta).
-    Both forms are kept as a cross-check.
+    With mix = 1 - e^{-Lambda delta} the chain switches 0->1 within a period
+    with probability a = p* mix and 1->0 with probability (1 - p*) mix, so a
+    prior p drifts to p (1 - (1 - p*) mix) + (1 - p) a = a + b p, the silent
+    drift p* + (p - p*) e^{-Lambda delta} after one period.  The period
+    length must be positive, which NaN is not.
     """
-    _check_belief("p", p)
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise OutOfRange(f"period length must be positive, got {delta!r}")
     p_star = rates.stationary_belief
     mix = 1.0 - math.exp(-rates.switch_rate * delta)
-    up = p_star * mix          # P(state 0 -> 1 within the period)
-    down = (1.0 - p_star) * mix  # P(state 1 -> 0)
-    return p * (1.0 - down) + (1.0 - p) * up
-
-
-def drift_map(rates: MarkovRates, delta: float) -> tuple[float, float]:
-    """Affine per-period drift coefficients (a, b): p -> a + b p.
-
-    The no-information posterior is affine in the prior, so the two endpoint
-    evaluations of drift_discrete determine it everywhere.
-    """
-    a = drift_discrete(rates, 0.0, delta)
-    return a, drift_discrete(rates, 1.0, delta) - a
+    a = p_star * mix
+    return a, (1.0 - (1.0 - p_star) * mix) - a
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,23 +106,7 @@ def make_split_signal(q: float, a: float, b: float) -> SplitSignal:
     return sig
 
 
-@dataclass(frozen=True, slots=True)
-class ReachTime:
-    """Discounted wait for a belief move from p_from to p_to.
-
-    y is the normalized discounted time E[1 - e^{-rT}] in [0, 1]; intensity
-    is the compensating jump rate of the split route (None for slides);
-    duration is the deterministic slide time (None for splits).
-    """
-
-    p_from: float
-    p_to: float
-    y: float
-    intensity: float | None = None
-    duration: float | None = None
-
-
-def discounted_time_split(problem: Problem, p_from: float, p_to: float) -> ReachTime:
+def discounted_time_split(problem: Problem, p_from: float, p_to: float) -> float:
     """Discounted wait when holding at p_from by repeated splits toward p_to.
 
     Y = mu (p_to - p_from) / (p* - p_from + mu (p_to - p_from)).  Defined
@@ -161,17 +122,15 @@ def discounted_time_split(problem: Problem, p_from: float, p_to: float) -> Reach
     d = p_to - p_from
     pull = p_star - p_from
     if d == 0.0:
-        return ReachTime(p_from, p_to, y=0.0, intensity=math.inf)
+        return 0.0
     if pull * d < 0.0:
         raise OutOfRange(
             f"split from {p_from} to {p_to} moves against the drift pull (p* = {p_star})"
         )
-    y = mu * d / (pull + mu * d)
-    intensity = problem.switch_rate * pull / d
-    return ReachTime(p_from, p_to, y=y, intensity=intensity)
+    return mu * d / (pull + mu * d)
 
 
-def discounted_time_slide(problem: Problem, p_from: float, p_to: float) -> ReachTime:
+def discounted_time_slide(problem: Problem, p_from: float, p_to: float) -> float:
     """Discounted wait for the silent drift from p_from to p_to.
 
     Requires p_to strictly between p_from and p* (drift approaches p* but
@@ -181,7 +140,7 @@ def discounted_time_slide(problem: Problem, p_from: float, p_to: float) -> Reach
     _check_belief("p_from", p_from)
     _check_belief("p_to", p_to)
     if p_to == p_from:
-        return ReachTime(p_from, p_to, y=0.0, duration=0.0)
+        return 0.0
     p_star = problem.stationary_belief
     gap_from = p_star - p_from
     gap_to = p_star - p_to
@@ -191,10 +150,7 @@ def discounted_time_slide(problem: Problem, p_from: float, p_to: float) -> Reach
             f"slide from {p_from} cannot reach {p_to} (p* = {p_star}); "
             "drift converges to p* without attaining it"
         )
-    ratio = gap_to / gap_from
-    tau = math.log(gap_from / gap_to) / problem.switch_rate
-    y = 1.0 - ratio ** problem.discount_ratio
-    return ReachTime(p_from, p_to, y=y, duration=tau)
+    return 1.0 - (gap_to / gap_from) ** problem.discount_ratio
 
 
 def split_value_linear(problem: Problem, p: float, p_lo: float, p_hi: float,

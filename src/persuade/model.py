@@ -223,10 +223,6 @@ class Problem:
         return self.rates.stationary_belief
 
     @property
-    def switch_rate(self) -> float:
-        return self.rates.switch_rate
-
-    @property
     def discount_ratio(self) -> float:
         """mu = r / (lambda0 + lambda1)."""
         return self.discounting.r / self.rates.switch_rate

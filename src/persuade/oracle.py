@@ -81,7 +81,7 @@ def make_grid(problem: Problem, gap: float, extra=()) -> BeliefGrid:
     than _DEDUPE_TOL are merged.  Raises OracleError when a payoff interval
     ends up with fewer than 3 points.
     """
-    if gap <= 0.0:
+    if not gap > 0.0:
         raise OutOfRange(f"grid gap must be positive, got {gap!r}")
     cuts = problem.payoff.cuts
     base = np.linspace(0.0, 1.0, math.ceil(1.0 / gap) + 1)
@@ -173,8 +173,7 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
     `bound` is the final bracket width; `residual` and `change_history` hold
     the sup-norm change of the plain iterates.
     """
-    if delta <= 0.0:
-        raise OutOfRange(f"period length must be positive, got {delta!r}")
+    a, b = drift_map(problem.rates, delta)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRange(f"tolerance must be finite and non-negative, got {tol!r}")
     if max_iter < 1:
@@ -182,7 +181,6 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
     x = math.exp(-problem.discounting.r * delta)
     pts = grid.points
     u = problem.payoff.value(pts)
-    a, b = drift_map(problem.rates, delta)
     drifted = a + b * pts
     w = np.full(pts.size, float(min(problem.payoff.levels)))
     history: list[float] = []
@@ -241,12 +239,10 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
     from scipy.sparse import csr_matrix, identity
     from scipy.sparse.linalg import spsolve
 
-    if delta <= 0.0:
-        raise OutOfRange(f"period length must be positive, got {delta!r}")
+    a, b = drift_map(problem.rates, delta)
     x = math.exp(-problem.discounting.r * delta)
     pts = grid.points
     n = pts.size
-    a, b = drift_map(problem.rates, delta)
     drifted = a + b * pts
     targets = np.array([(r.low_target, r.high_target) if r.action == "split"
                         else (math.nan, math.nan) for r in policy.regions])

@@ -69,6 +69,8 @@ def sized_horizon(problem: Problem, delta: float, max_tail: float) -> int:
 
     A flat payoff has no truncation error at any horizon; it gets 100 periods.
     """
+    if not delta > 0.0:
+        raise OutOfRange(f"period length must be positive, got {delta!r}")
     levels = problem.payoff.levels
     spread = max(levels) - min(levels)
     if spread <= 0.0:
@@ -87,7 +89,7 @@ class SimConfig:
     initial_belief: float
 
     def __post_init__(self) -> None:
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise OutOfRange(f"period length must be positive, got {self.delta!r}")
         if self.horizon < 1:
             raise OutOfRange(f"horizon must be at least 1 period, got {self.horizon!r}")

@@ -272,14 +272,6 @@ class Solution:
     policy: MarkovPolicy
     cutoffs: tuple[float, ...]
 
-    @property
-    def stationary_belief(self) -> float:
-        return self.problem.stationary_belief
-
-    @property
-    def discount_ratio(self) -> float:
-        return self.problem.discount_ratio
-
     def to_dict(self) -> dict:
         return {
             "problem": problem_to_dict(self.problem),
@@ -333,7 +325,7 @@ def _solve_below(problem: Problem, v_at_p0: float):
     upper_value = v_at_p0
     for i in range(problem.pivot - 1, -1, -1):
         lo, hi = cuts[i], cuts[i + 1]
-        y = discounted_time_split(problem, lo, hi).y
+        y = discounted_time_split(problem, lo, hi)
         v_lo = y * levels[i] + (1.0 - y) * upper_value
         slope = (upper_value - v_lo) / (hi - lo)
         segments.append(ValueSegment.linear(lo, hi, v_lo - slope * lo, slope))
@@ -473,7 +465,8 @@ def verify_solution(problem: Problem, solution: Solution, n_points: int = 10_000
     nonnegative everywhere (both derivative sides); residual zero at the
     binding set (cuts up to the center, the center's right cut, every cutoff,
     and belief 1); concavity; monotonicity; strict value gap below the flow
-    level at every cut above the center; smooth pasting at cutoffs.  p* is
+    level at every cut above the center; smooth pasting at cutoffs; the
+    corner condition (no slope jump) at every cut a pasted line ends on.  p* is
     exempt from smoothness and binding checks (a kink is allowed there in
     the pinned regime).
     """
@@ -546,12 +539,16 @@ def verify_solution(problem: Problem, solution: Solution, n_points: int = 10_000
         if gap <= 0.0:
             violations.append(Violation("interior_gap", c, -gap))
 
+    # C^1 at every cutoff, and at every cut a pasted line ends on (the
+    # corner condition, which fixes the cutoff).
     max_pasting = 0.0
-    for q in solution.cutoffs:
-        jump = abs(value.derivative(q, "left") - value.derivative(q, "right"))
+    smooth = [(q, "smooth_pasting") for q in solution.cutoffs]
+    smooth += [(c, "corner") for c in cuts[k + 2:-1]]
+    for p, condition in smooth:
+        jump = abs(value.derivative(p, "left") - value.derivative(p, "right"))
         max_pasting = max(max_pasting, jump)
         if jump > tol:
-            violations.append(Violation("smooth_pasting", q, jump))
+            violations.append(Violation(condition, p, jump))
 
     return VerificationReport(
         violations=tuple(violations),

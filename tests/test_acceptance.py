@@ -71,8 +71,8 @@ def test_a1_slide_never_beats_split_reach_time():
         while abs(p_from - p_star) < 1e-9:
             p_from = rng.uniform(0.0, 1.0)
         p_to = p_from + rng.uniform(1e-9, 1.0 - 1e-9) * (p_star - p_from)
-        y_slide = discounted_time_slide(prob, p_from, p_to).y
-        y_split = discounted_time_split(prob, p_from, p_to).y
+        y_slide = discounted_time_slide(prob, p_from, p_to)
+        y_split = discounted_time_split(prob, p_from, p_to)
         worst = min(worst, y_slide - y_split)
     elapsed = time.perf_counter() - start
     ok = worst >= -1e-12 and elapsed < 1.0

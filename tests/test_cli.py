@@ -279,6 +279,23 @@ def test_negative_tolerance_is_rejected(tmp_path, canon_config, capsys, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["oracle", "--delta", "nan", "--grid-gap", "0.01"], "period length must be positive, got nan"),
+    (["sweep", "--deltas", "nan", "--grid-gap", "0.01"], "period length must be positive, got nan"),
+    (["simulate", "--delta", "nan"], "period length must be positive, got nan"),
+    (["simulate", "--delta", "nan", "--horizon", "10"], "period length must be positive, got nan"),
+    (["simulate", "--delta", "0"], "period length must be positive, got 0.0"),
+    (["oracle", "--grid-gap", "nan"], "grid gap must be positive, got nan"),
+], ids=["oracle-delta", "sweep-deltas", "simulate-delta", "simulate-delta-horizon",
+        "simulate-delta-zero", "oracle-grid-gap"])
+def test_bad_period_and_grid_gap_rejected(tmp_path, canon_config, capsys, args, message):
+    out = tmp_path / "out"
+    code = main(args[:1] + ["--config", canon_config, "--out", str(out)] + args[1:])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 # --- sweep --------------------------------------------------------------------
 
 def test_sweep_single_delta(tmp_path, canon_config):

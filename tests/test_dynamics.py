@@ -10,8 +10,7 @@ import pytest
 from persuade.dynamics import (
     discounted_time_slide,
     discounted_time_split,
-    drift_continuous,
-    drift_discrete,
+    drift_map,
     make_split_signal,
     split_value_linear,
 )
@@ -21,20 +20,31 @@ from persuade.model import MarkovRates
 
 # --- drift --------------------------------------------------------------------
 
+def continuous_drift(rates, p, t):
+    """Reference: the silent drift p* + (p - p*) e^{-Lambda t}."""
+    p_star = rates.stationary_belief
+    return p_star + (p - p_star) * math.exp(-rates.switch_rate * t)
+
+
+def drift(rates, p, delta):
+    a, b = drift_map(rates, delta)
+    return a + b * p
+
+
 def test_drift_closed_form_value():
     rates = MarkovRates(1.0, 1.0)
     expected = 0.5 - 0.3 * math.exp(-0.2)
-    assert drift_continuous(rates, 0.2, 0.1) == pytest.approx(expected, abs=1e-15)
+    assert drift(rates, 0.2, 0.1) == pytest.approx(expected, abs=1e-15)
 
 
-def test_drift_discrete_matches_continuous():
+def test_drift_map_matches_continuous():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(500):
         rates = MarkovRates(rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0))
         p = rng.uniform(0.0, 1.0)
         d = rng.uniform(1e-4, 2.0)
-        worst = max(worst, abs(drift_discrete(rates, p, d) - drift_continuous(rates, p, d)))
+        worst = max(worst, abs(drift(rates, p, d) - continuous_drift(rates, p, d)))
     assert worst <= 1e-12
 
 
@@ -42,27 +52,19 @@ def test_drift_moves_toward_stationary_without_crossing():
     rates = MarkovRates(2.0, 3.0)
     p_star = rates.stationary_belief
     for p in (0.0, 0.1, 0.39, 0.41, 0.9, 1.0):
-        q = drift_continuous(rates, p, 0.3)
+        q = drift(rates, p, 0.3)
         if p < p_star:
             assert p < q < p_star or p == q
         elif p > p_star:
             assert p_star < q < p
-    assert drift_continuous(rates, p_star, 5.0) == pytest.approx(p_star, abs=1e-15)
-
-
-def test_drift_zero_time_is_identity():
-    rates = MarkovRates(1.5, 0.7)
-    assert drift_continuous(rates, 0.3, 0.0) == 0.3
+    assert drift(rates, p_star, 5.0) == pytest.approx(p_star, abs=1e-15)
 
 
 def test_drift_argument_checks():
     rates = MarkovRates(1.0, 1.0)
-    with pytest.raises(OutOfRange):
-        drift_continuous(rates, 1.2, 0.1)
-    with pytest.raises(OutOfRange):
-        drift_continuous(rates, 0.5, -0.1)
-    with pytest.raises(OutOfRange):
-        drift_discrete(rates, 0.5, 0.0)
+    for delta in (0.0, -0.1, math.nan):
+        with pytest.raises(OutOfRange, match="period length must be positive"):
+            drift_map(rates, delta)
 
 
 # --- binary splits ------------------------------------------------------------
@@ -111,19 +113,16 @@ def test_split_signal_errors():
 # --- discounted reach times ---------------------------------------------------
 
 def test_split_reach_time_canon_values(canon_problem):
-    rt = discounted_time_split(canon_problem, 0.2, 0.4)
-    assert rt.y == pytest.approx(0.25, abs=1e-15)          # mu d/(pull + mu d)
-    assert rt.intensity == pytest.approx(3.0, abs=1e-12)   # Lambda pull/d
-    assert rt.duration is None
+    y = discounted_time_split(canon_problem, 0.2, 0.4)
+    assert y == pytest.approx(0.25, abs=1e-15)          # mu d/(pull + mu d)
 
 
 def test_split_from_stationary_never_departs(canon_problem):
-    rt = discounted_time_split(canon_problem, 0.5, 0.8)
-    assert rt.y == 1.0
+    assert discounted_time_split(canon_problem, 0.5, 0.8) == 1.0
 
 
 def test_split_zero_distance(canon_problem):
-    assert discounted_time_split(canon_problem, 0.3, 0.3).y == 0.0
+    assert discounted_time_split(canon_problem, 0.3, 0.3) == 0.0
 
 
 def test_split_against_the_pull_raises(canon_problem):
@@ -134,10 +133,8 @@ def test_split_against_the_pull_raises(canon_problem):
 
 
 def test_slide_reach_time_canon_values(canon_problem):
-    rt = discounted_time_slide(canon_problem, 0.2, 0.4)
-    assert rt.y == pytest.approx(1.0 - (1.0 / 3.0) ** 0.5, abs=1e-15)
-    assert rt.duration == pytest.approx(math.log(3.0) / 2.0, abs=1e-15)
-    assert rt.intensity is None
+    y = discounted_time_slide(canon_problem, 0.2, 0.4)
+    assert y == pytest.approx(1.0 - (1.0 / 3.0) ** 0.5, abs=1e-15)
 
 
 def test_slide_unreachable_targets(canon_problem):
@@ -150,8 +147,7 @@ def test_slide_unreachable_targets(canon_problem):
 
 
 def test_slide_zero_distance(canon_problem):
-    rt = discounted_time_slide(canon_problem, 0.3, 0.3)
-    assert rt.y == 0.0 and rt.duration == 0.0
+    assert discounted_time_slide(canon_problem, 0.3, 0.3) == 0.0
 
 
 def test_slide_never_faster_than_split(canon_problem):
@@ -164,8 +160,8 @@ def test_slide_never_faster_than_split(canon_problem):
         p_to = p_from + rng.uniform(1e-6, 1.0) * (p_star - p_from) * 0.999
         slide = discounted_time_slide(canon_problem, p_from, p_to)
         split = discounted_time_split(canon_problem, p_from, p_to)
-        assert slide.y >= split.y - 1e-12
-        assert 0.0 <= split.y <= 1.0 and 0.0 <= slide.y <= 1.0
+        assert slide >= split - 1e-12
+        assert 0.0 <= split <= 1.0 and 0.0 <= slide <= 1.0
 
 
 # --- stationary split value line ----------------------------------------------
@@ -174,8 +170,8 @@ def test_split_value_line_endpoint_recursions(canon_problem):
     p_lo, p_hi, u_lo, u_hi = 0.4, 0.6, 0.8, 0.95
     lo_val = split_value_linear(canon_problem, p_lo, p_lo, p_hi, u_lo, u_hi)
     hi_val = split_value_linear(canon_problem, p_hi, p_lo, p_hi, u_lo, u_hi)
-    y_up = discounted_time_split(canon_problem, p_lo, p_hi).y
-    y_dn = discounted_time_split(canon_problem, p_hi, p_lo).y
+    y_up = discounted_time_split(canon_problem, p_lo, p_hi)
+    y_dn = discounted_time_split(canon_problem, p_hi, p_lo)
     assert lo_val == pytest.approx(y_up * u_lo + (1.0 - y_up) * hi_val, abs=1e-10)
     assert hi_val == pytest.approx(y_dn * u_hi + (1.0 - y_dn) * lo_val, abs=1e-10)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from persuade import sim
-from persuade.dynamics import drift_discrete
+from persuade.dynamics import drift_map
 from persuade.errors import OutOfRange, SimulationError
 from persuade.oracle import myopic_policy, slide_only_policy
 from persuade.sim import (
@@ -109,8 +109,7 @@ def _float_loop_reference(problem, policy, config):
     n_paths, horizon = config.n_paths, config.horizon
     seed_seq = np.random.SeedSequence(config.seed).spawn(1)[0]
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    drift0 = drift_discrete(problem.rates, 0.0, config.delta)
-    drift_slope = drift_discrete(problem.rates, 1.0, config.delta) - drift0
+    drift0, drift_slope = drift_map(problem.rates, config.delta)
     prob_up, prob_down = drift0, 1.0 - drift0 - drift_slope
     x = math.exp(-problem.discounting.r * config.delta)
     weights = (1.0 - x) * x ** np.arange(horizon)

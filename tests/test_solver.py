@@ -357,6 +357,33 @@ def test_verify_flags_value_below_payoff(canon_problem, canon_solution):
     assert "value_floor" in conditions or "balance_right" in conditions
 
 
+def shifted_cutoff(solution, shift):
+    """Canon solution with its cutoff moved left, the line and top arc rebuilt by continuity."""
+    below, (arc, line, top) = solution.value.segments[:-3], solution.value.segments[-3:]
+    q = arc.hi - shift
+    arc = ValueSegment.slide_arc(arc.lo, q, arc.level, arc.start, arc.center, arc.exponent)
+    slope = float(arc.derivative_at(q))
+    line = ValueSegment.linear(q, line.hi, float(arc.value_at(q)) - slope * q, slope)
+    top = ValueSegment.slide_arc(top.lo, top.hi, top.level, float(line.value_at(line.hi)),
+                                 top.center, top.exponent)
+    regions = solution.policy.regions[:-3] + (
+        PolicyRegion(arc.lo, q, "slide"), PolicyRegion(q, line.hi, "split", q, line.hi),
+        solution.policy.regions[-1])
+    return dataclasses.replace(solution, value=PiecewiseValue(below + (arc, line, top)),
+                               policy=MarkovPolicy(regions, (q,)), cutoffs=(q,))
+
+
+@pytest.mark.parametrize("shift, jump", [(0.01, 1.5e-2), (0.03, 5.5e-2)])
+def test_verify_flags_corner_at_moved_cutoff(canon_problem, canon_solution, shift, jump):
+    # Tangent at the moved cutoff and continuous everywhere, yet above the
+    # optimum at 0.9: only the slope jump at the next cut (0.8) gives it away.
+    broken = shifted_cutoff(canon_solution, shift)
+    assert broken.value.value(0.9) > canon_solution.value.value(0.9) + 1e-3
+    rep = verify_solution(canon_problem, broken)
+    assert [(v.condition, v.belief) for v in rep.violations] == [("corner", 0.8)]
+    assert rep.max_pasting_gap == pytest.approx(jump, rel=0.02)
+
+
 def test_verify_random_instances():
     rng = np.random.default_rng(23)
     for _ in range(25):
