@@ -23,7 +23,6 @@ from .dynamics import (
     discounted_time_slide,
     discounted_time_split,
     make_split_signal,
-    split_value_linear,
 )
 from .solver import (
     MarkovPolicy,
@@ -61,7 +60,6 @@ __all__ = [
     "make_split_signal",
     "discounted_time_split",
     "discounted_time_slide",
-    "split_value_linear",
     "ValueSegment",
     "PiecewiseValue",
     "PolicyRegion",

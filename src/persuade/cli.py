@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import OracleError, PersuadeError, ProblemValidationError, SimulationError, SolverError
+from .errors import OracleError, OutOfRange, PersuadeError, ProblemValidationError, SimulationError, SolverError
 from .model import Problem, load_problem
 from .oracle import evaluate_policy_discrete, make_grid, myopic_policy, slide_only_policy, value_iteration
 from .sim import DEFAULT_MAX_TAIL, SimConfig, default_period, simulate, sized_horizon
@@ -112,6 +112,8 @@ def _region_label(region) -> str:
 
 
 def cmd_solve(args) -> int:
+    if args.samples < 0:
+        raise OutOfRange(f"sample count must be non-negative, got {args.samples}")
     problem = load_problem(args.config)
     solution = solve(problem)
     cuts = problem.payoff.cuts

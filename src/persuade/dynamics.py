@@ -38,7 +38,6 @@ __all__ = [
     "make_split_signal",
     "discounted_time_split",
     "discounted_time_slide",
-    "split_value_linear",
 ]
 
 _BAYES_TOL = 1e-12
@@ -152,31 +151,3 @@ def discounted_time_slide(problem: Problem, p_from: float, p_to: float) -> float
         )
     return 1.0 - (gap_to / gap_from) ** problem.discount_ratio
 
-
-def split_value_linear(problem: Problem, p: float, p_lo: float, p_hi: float,
-                       u_lo: float, u_hi: float) -> float:
-    """Value line of the stationary two-point split on a bracket straddling p*.
-
-    The policy that splits every belief in [p_lo, p_hi] to the endpoints,
-    earning u_lo at p_lo and u_hi at p_hi, has the linear value
-
-        L(p) = [u_lo (p_hi (mu+1) - p*) + u_hi (p* - p_lo (mu+1))
-                + p mu (u_hi - u_lo)] / ((p_hi - p_lo)(mu+1)).
-
-    L satisfies the endpoint recursions L(end) = Y u(end) + (1-Y) L(other)
-    with the split reach times in both directions.
-    """
-    if p_lo == p_hi:
-        raise OutOfRange(f"bracket has zero width at {p_lo}")
-    _check_belief("p_lo", p_lo)
-    _check_belief("p_hi", p_hi)
-    p_star = problem.stationary_belief
-    if not (p_lo <= p_star <= p_hi):
-        raise OutOfRange(f"bracket [{p_lo}, {p_hi}] does not contain p* = {p_star}")
-    if not (p_lo <= p <= p_hi):
-        raise OutOfRange(f"belief {p} outside bracket [{p_lo}, {p_hi}]")
-    mu = problem.discount_ratio
-    denom = (p_hi - p_lo) * (mu + 1.0)
-    intercept = (u_lo * (p_hi * (mu + 1.0) - p_star) + u_hi * (p_star - p_lo * (mu + 1.0))) / denom
-    slope = mu * (u_hi - u_lo) / denom
-    return intercept + slope * p

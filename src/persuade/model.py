@@ -244,7 +244,7 @@ class Problem:
     @property
     def pinned(self) -> bool:
         """True when p* coincides with a cut (within PIN_TOLERANCE)."""
-        return any(abs(self.stationary_belief - c) <= PIN_TOLERANCE for c in self.payoff.cuts[:-1])
+        return abs(self.stationary_belief - self.payoff.cuts[self.pivot]) <= PIN_TOLERANCE
 
     @property
     def intervals_above(self) -> int:

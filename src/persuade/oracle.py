@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _DEDUPE_TOL = 1e-14
+#: Most uniform points make_grid will lay down.
+_MAX_GRID_POINTS = 10**7
 _LEFT_SAMPLE_OFFSET = 1e-12
 _HULL_BEND_TOL = 1e-13
 _HULL_PASSES = 16
@@ -83,6 +85,8 @@ def make_grid(problem: Problem, gap: float, extra=()) -> BeliefGrid:
     """
     if not gap > 0.0:
         raise OutOfRange(f"grid gap must be positive, got {gap!r}")
+    if not 1.0 / gap <= _MAX_GRID_POINTS:
+        raise OutOfRange(f"grid gap {gap!r} would need more than {_MAX_GRID_POINTS} points")
     cuts = problem.payoff.cuts
     base = np.linspace(0.0, 1.0, math.ceil(1.0 / gap) + 1)
     pts, _ = _locate(np.concatenate([

@@ -57,6 +57,8 @@ _CHUNK = 32768
 # where a center-based calibration tolerance carries no information.
 _N_BINS = 21
 DEFAULT_MAX_TAIL = 0.05
+#: Longest horizon a simulation may run, in periods.
+MAX_HORIZON = 10**7
 
 
 def default_period(problem: Problem) -> float:
@@ -64,18 +66,28 @@ def default_period(problem: Problem) -> float:
     return 0.01 / (problem.rates.lambda0 + problem.rates.lambda1 + problem.discounting.r)
 
 
+def _periods_needed(problem: Problem, delta: float, max_tail: float) -> float:
+    """Unrounded horizon at which x^horizon * spread reaches max_tail (inf if r delta underflows)."""
+    levels = problem.payoff.levels
+    rate = problem.discounting.r * delta
+    return math.log((max(levels) - min(levels)) / max_tail) / rate if rate > 0.0 else math.inf
+
+
 def sized_horizon(problem: Problem, delta: float, max_tail: float) -> int:
     """Fewest periods whose truncation bound x^horizon * spread is at most max_tail.
 
     A flat payoff has no truncation error at any horizon; it gets 100 periods.
+    Raises OutOfRange when more than MAX_HORIZON periods would be needed.
     """
     if not delta > 0.0:
         raise OutOfRange(f"period length must be positive, got {delta!r}")
     levels = problem.payoff.levels
-    spread = max(levels) - min(levels)
-    if spread <= 0.0:
+    if max(levels) - min(levels) <= 0.0:
         return 100
-    return max(1, math.ceil(math.log(spread / max_tail) / (problem.discounting.r * delta)))
+    periods = _periods_needed(problem, delta, max_tail)
+    if not periods <= MAX_HORIZON:
+        raise OutOfRange(f"period length {delta!r} needs a horizon of more than {MAX_HORIZON} periods")
+    return math.ceil(max(periods, 1.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,8 +103,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.delta > 0.0:
             raise OutOfRange(f"period length must be positive, got {self.delta!r}")
-        if self.horizon < 1:
-            raise OutOfRange(f"horizon must be at least 1 period, got {self.horizon!r}")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise OutOfRange(f"horizon must be 1 to {MAX_HORIZON} periods, got {self.horizon!r}")
         if self.n_paths < 1:
             raise OutOfRange(f"need at least one path, got {self.n_paths!r}")
         if not (0.0 <= self.initial_belief <= 1.0):
@@ -298,7 +310,7 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     if tail_bound > max_tail:
         raise SimulationError(
             f"truncation bound {tail_bound:.3g} exceeds {max_tail}; need a horizon of "
-            f"about {sized_horizon(problem, config.delta, max_tail)} periods"
+            f"about {_periods_needed(problem, config.delta, max_tail):.3g} periods"
         )
 
     weights = (1.0 - x) * x ** np.arange(config.horizon)

@@ -4,7 +4,7 @@ The construction runs outward from the payoff interval containing the
 stationary belief p* (cuts p_0 = c_k <= p* < p_1 = c_{k+1}):
 
   * center: the stationary two-point split on [p_0, p_1] gives a linear
-    value (see dynamics.split_value_linear);
+    value (see _solve_center);
   * below p_0: walking left over cuts, the hold-and-jump recursion
     v(c_i) = Y h_i + (1-Y) v(c_{i+1}) with the split reach time Y, and the
     value is linear between consecutive cuts (immediate split);
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ProblemValidationError, SolverError
 from .model import PIN_TOLERANCE, Problem, _locate, parse_problem, problem_to_dict
-from .dynamics import discounted_time_split, split_value_linear
+from .dynamics import discounted_time_split
 
 __all__ = [
     "ValueSegment",
@@ -287,33 +287,36 @@ class Solution:
 def solution_from_dict(d: dict) -> Solution:
     problem = parse_problem(d["problem"])
     value = PiecewiseValue(ValueSegment.from_dict(s) for s in d["segments"])
-    policy = MarkovPolicy([PolicyRegion.from_dict(r) for r in d["regions"]], d["cutoffs"])
-    return Solution(problem=problem, value=value, policy=policy, cutoffs=tuple(d["cutoffs"]))
+    return Solution(problem=problem, value=value, policy=MarkovPolicy.from_dict(d),
+                    cutoffs=tuple(d["cutoffs"]))
 
 
 # --- construction ------------------------------------------------------------
 
 def _solve_center(problem: Problem):
-    """Linear value on the interval containing p*, from the stationary split."""
+    """Linear value on the interval [p0, p1] containing p*, from the stationary split.
+
+    Splitting to the ends, which earn u_lo and u_hi, has the value line
+    L(p) = [u_lo (p1 (mu+1) - p*) + u_hi (p* - p0 (mu+1)) + p mu (u_hi - u_lo)]
+    / ((p1 - p0)(mu+1)), which meets L(end) = Y u(end) + (1-Y) L(other) with
+    the split reach times Y in both directions.
+    """
     cuts = problem.payoff.cuts
     levels = problem.payoff.levels
     k = problem.pivot
     p0, p1 = cuts[k], cuts[k + 1]
     u_lo = levels[k]
     u_hi = levels[k + 1] if k + 1 < len(levels) else levels[-1]
+    p_star = problem.stationary_belief
     mu = problem.discount_ratio
-    slope = mu * (u_hi - u_lo) / ((p1 - p0) * (mu + 1.0))
-    if problem.pinned and abs(problem.stationary_belief - p0) <= PIN_TOLERANCE:
-        # Pinned regime: no information is ever revealed at p*, so the value
-        # there is locked to the flow payoff exactly.
-        v0 = u_lo
-    else:
-        v0 = split_value_linear(problem, p0, p0, p1, u_lo, u_hi)
+    denom = (p1 - p0) * (mu + 1.0)
+    slope = mu * (u_hi - u_lo) / denom
+    # Pinned regime: no information is ever revealed at p*, so the value
+    # there is locked to the flow payoff exactly.
+    v0 = u_lo if problem.pinned else \
+        (u_lo * (p1 * (mu + 1.0) - p_star) + u_hi * (p_star - p0 * (mu + 1.0))) / denom + slope * p0
     intercept = v0 - slope * p0
-    segment = ValueSegment.linear(p0, p1, intercept, slope)
-    region = PolicyRegion(p0, p1, "split", p0, p1)
-    v1 = intercept + slope * p1
-    return segment, region, v0, v1
+    return ValueSegment.linear(p0, p1, intercept, slope), v0, intercept + slope * p1
 
 
 def _solve_below(problem: Problem, v_at_p0: float):
@@ -321,7 +324,6 @@ def _solve_below(problem: Problem, v_at_p0: float):
     cuts = problem.payoff.cuts
     levels = problem.payoff.levels
     segments: list[ValueSegment] = []
-    regions: list[PolicyRegion] = []
     upper_value = v_at_p0
     for i in range(problem.pivot - 1, -1, -1):
         lo, hi = cuts[i], cuts[i + 1]
@@ -329,11 +331,8 @@ def _solve_below(problem: Problem, v_at_p0: float):
         v_lo = y * levels[i] + (1.0 - y) * upper_value
         slope = (upper_value - v_lo) / (hi - lo)
         segments.append(ValueSegment.linear(lo, hi, v_lo - slope * lo, slope))
-        regions.append(PolicyRegion(lo, hi, "split", lo, hi))
         upper_value = v_lo
-    segments.reverse()
-    regions.reverse()
-    return segments, regions
+    return segments[::-1]
 
 
 def _pasting_residual(q, h_j, h_next, v_j, p_j, p_star, mu, p_next):
@@ -363,7 +362,7 @@ def _find_cutoff(p_j, p_next, h_j, h_next, v_j, p_star, mu) -> float:
 
 
 def _solve_above_interval(problem: Problem, j: int, v_at_pj: float):
-    """Slide arc plus (except at the top) a pasted split segment on interval j."""
+    """Slide arc plus (except at the top) a pasted split line on interval j, and v at its right end."""
     cuts = problem.payoff.cuts
     levels = problem.payoff.levels
     k = problem.pivot
@@ -376,11 +375,9 @@ def _solve_above_interval(problem: Problem, j: int, v_at_pj: float):
             f"value {v_at_pj} at cut {p_j} must be strictly below the flow level {h_j}"
         )
 
-    top = (k + j) == len(levels) - 1
-    if top:
+    if (k + j) == len(levels) - 1:
         segment = ValueSegment.slide_arc(p_j, 1.0, h_j, v_at_pj, p_star, mu)
-        region = PolicyRegion(p_j, 1.0, "slide")
-        return [segment], [region], None, float(segment.value_at(1.0))
+        return [segment], float(segment.value_at(1.0))
 
     h_next = levels[k + j + 1]
     q = _find_cutoff(p_j, p_next, h_j, h_next, v_at_pj, p_star, mu)
@@ -388,13 +385,16 @@ def _solve_above_interval(problem: Problem, j: int, v_at_pj: float):
     slope = float(arc.derivative_at(q))
     v_q = float(arc.value_at(q))
     v_next = h_next - slope * (p_next - p_star) / mu
-    line = ValueSegment.linear(q, p_next, v_q - slope * q, slope)
-    regions = [PolicyRegion(p_j, q, "slide"), PolicyRegion(q, p_next, "split", q, p_next)]
-    return [arc, line], regions, q, v_next
+    return [arc, ValueSegment.linear(q, p_next, v_q - slope * q, slope)], v_next
 
 
 def solve(problem: Problem) -> Solution:
-    """Closed-form value function and optimal policy for a validated problem."""
+    """Closed-form value function and optimal policy for a validated problem.
+
+    The policy is read off the value's pieces: each line splits to its own
+    two ends, each slide arc reveals nothing, and a line that follows an arc
+    starts at a pasting cutoff.
+    """
     levels = problem.payoff.levels
     if len(levels) == 1:
         # Flat payoff: every policy earns the same; reveal nothing.
@@ -402,24 +402,19 @@ def solve(problem: Problem) -> Solution:
         policy = MarkovPolicy([PolicyRegion(0.0, 1.0, "slide")])
         return Solution(problem=problem, value=value, policy=policy, cutoffs=())
 
-    center_seg, center_region, v0, v1 = _solve_center(problem)
-    below_segs, below_regions = _solve_below(problem, v0)
-
-    above_segs: list[ValueSegment] = []
-    above_regions: list[PolicyRegion] = []
-    cutoffs: list[float] = []
-    v_boundary = v1
+    center, v0, v_boundary = _solve_center(problem)
+    segments = _solve_below(problem, v0) + [center]
     for j in range(1, problem.intervals_above):
-        segs, regs, cutoff, v_boundary = _solve_above_interval(problem, j, v_boundary)
-        above_segs.extend(segs)
-        above_regions.extend(regs)
-        if cutoff is not None:
-            cutoffs.append(cutoff)
+        above, v_boundary = _solve_above_interval(problem, j, v_boundary)
+        segments += above
 
-    value = PiecewiseValue(below_segs + [center_seg] + above_segs)
+    cutoffs = tuple(b.lo for a, b in zip(segments, segments[1:])
+                    if a.kind == "slide_arc" and b.kind == "linear")
+    policy = MarkovPolicy([PolicyRegion(s.lo, s.hi, "split", s.lo, s.hi) if s.kind == "linear"
+                           else PolicyRegion(s.lo, s.hi, "slide") for s in segments], cutoffs)
+    value = PiecewiseValue(segments)
     value.check_shape()
-    policy = MarkovPolicy(below_regions + [center_region] + above_regions, cutoffs)
-    return Solution(problem=problem, value=value, policy=policy, cutoffs=tuple(cutoffs))
+    return Solution(problem=problem, value=value, policy=policy, cutoffs=cutoffs)
 
 
 # --- verification ------------------------------------------------------------
@@ -467,7 +462,7 @@ def verify_solution(problem: Problem, solution: Solution, n_points: int = 10_000
     and belief 1); concavity; monotonicity; strict value gap below the flow
     level at every cut above the center; smooth pasting at cutoffs; the
     corner condition (no slope jump) at every cut a pasted line ends on.  p* is
-    exempt from smoothness and binding checks (a kink is allowed there in
+    exempt from the balance and binding checks (a kink is allowed there in
     the pinned regime).
     """
     value = solution.value
@@ -491,29 +486,17 @@ def verify_solution(problem: Problem, solution: Solution, n_points: int = 10_000
         np.array(solution.cutoffs, dtype=float),
         np.array([c - 1e-9 for c in cuts[1:-1]]),
     ]))
-    interior = np.abs(grid - p_star) > PIN_TOLERANCE
+    worst_deficit = 0.0
+    for side, pts in (("right", grid), ("left", grid[grid > 0.0])):
+        res = _residual(problem, value, pts, side)
+        keep = np.abs(pts - p_star) > PIN_TOLERANCE
+        pts, res = pts[keep], res[keep]
+        worst_deficit = max(worst_deficit, -float(res.min(initial=0.0)))
+        for i in np.flatnonzero(res < -tol):
+            violations.append(Violation(f"balance_{side}", float(pts[i]), float(-res[i])))
 
-    res_right = _residual(problem, value, grid, "right")
-    res_left = _residual(problem, value, grid[grid > 0.0], "left")
-    worst_deficit = float(max(0.0, -min(res_right[interior].min(initial=0.0),
-                                        res_left.min(initial=0.0))))
-    for p, r in zip(grid[interior], res_right[interior]):
-        if r < -tol:
-            violations.append(Violation("balance_right", float(p), float(-r)))
-    left_grid = grid[grid > 0.0]
-    left_interior = np.abs(left_grid - p_star) > PIN_TOLERANCE
-    for p, r in zip(left_grid[left_interior], res_left[left_interior]):
-        if r < -tol:
-            violations.append(Violation("balance_left", float(p), float(-r)))
-
-    binding: list[tuple[float, str]] = []
-    for c in cuts[: k + 1]:
-        binding.append((c, "right"))
-    if k + 1 < len(cuts) - 1:
-        binding.append((cuts[k + 1], "right"))
-    for q in solution.cutoffs:
-        binding.append((q, "left"))
-    binding.append((1.0, "left"))
+    binding = [(c, "right") for c in cuts[:-1][:k + 2]]
+    binding += [(q, "left") for q in (*solution.cutoffs, 1.0)]
     max_binding = 0.0
     for p, side in binding:
         if abs(p - p_star) <= PIN_TOLERANCE:
@@ -526,9 +509,9 @@ def verify_solution(problem: Problem, solution: Solution, n_points: int = 10_000
     # Concavity and monotonicity along the grid (right derivatives), plus
     # junction kink direction.
     deriv_right = value.derivative(grid, "right")
-    for p, a, b in zip(grid[1:], deriv_right[:-1], deriv_right[1:]):
-        if b - a > _CONCAVITY_TOL:
-            violations.append(Violation("concavity", float(p), float(b - a)))
+    rise = np.diff(deriv_right)
+    for i in np.flatnonzero(rise > _CONCAVITY_TOL):
+        violations.append(Violation("concavity", float(grid[i + 1]), float(rise[i])))
     if deriv_right.min() < -_MONOTONE_TOL:
         worst = grid[int(np.argmin(deriv_right))]
         violations.append(Violation("monotonicity", float(worst), float(-deriv_right.min())))

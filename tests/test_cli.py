@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 import warnings
 
 import pytest
@@ -293,6 +294,41 @@ def test_bad_period_and_grid_gap_rejected(tmp_path, canon_config, capsys, args, 
     code = main(args[:1] + ["--config", canon_config, "--out", str(out)] + args[1:])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["oracle", "--grid-gap", "1e-300"], "grid gap 1e-300 would need more than 10000000 points"),
+    (["oracle", "--grid-gap", "1e-9"], "grid gap 1e-09 would need more than 10000000 points"),
+    (["simulate", "--delta", "1e-300"],
+     "period length 1e-300 needs a horizon of more than 10000000 periods"),
+    (["simulate", "--delta", "1e-12", "--paths", "10"],
+     "period length 1e-12 needs a horizon of more than 10000000 periods"),
+    (["simulate", "--horizon", "100000000"],
+     "horizon must be 1 to 10000000 periods, got 100000000"),
+    (["solve", "--samples", "-1"], "sample count must be non-negative, got -1"),
+], ids=["grid-gap-1e-300", "grid-gap-1e-9", "delta-1e-300", "delta-1e-12", "horizon-1e8",
+        "samples-negative"])
+def test_oversized_input_rejected_at_once(tmp_path, canon_config, capsys, args, message):
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(args[:1] + ["--config", canon_config, "--out", str(out)] + args[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_short_explicit_horizon_names_needed_horizon_briefly(tmp_path, canon_config, capsys):
+    # The horizon for --delta 1e-12 is far above the ceiling; the message
+    # still names it, in three significant digits.
+    out = tmp_path / "sim.json"
+    code = main(["simulate", "--config", canon_config, "--out", str(out),
+                 "--delta", "1e-12", "--horizon", "100", "--paths", "10"])
+    assert code == 6
+    assert capsys.readouterr().err.splitlines() == [
+        "simulation error: truncation bound 1 exceeds 0.05; need a horizon of about "
+        "3e+12 periods"]
     assert not out.exists()
 
 

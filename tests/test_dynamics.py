@@ -12,7 +12,6 @@ from persuade.dynamics import (
     discounted_time_split,
     drift_map,
     make_split_signal,
-    split_value_linear,
 )
 from persuade.errors import OutOfRange
 from persuade.model import MarkovRates
@@ -162,36 +161,3 @@ def test_slide_never_faster_than_split(canon_problem):
         split = discounted_time_split(canon_problem, p_from, p_to)
         assert slide >= split - 1e-12
         assert 0.0 <= split <= 1.0 and 0.0 <= slide <= 1.0
-
-
-# --- stationary split value line ----------------------------------------------
-
-def test_split_value_line_endpoint_recursions(canon_problem):
-    p_lo, p_hi, u_lo, u_hi = 0.4, 0.6, 0.8, 0.95
-    lo_val = split_value_linear(canon_problem, p_lo, p_lo, p_hi, u_lo, u_hi)
-    hi_val = split_value_linear(canon_problem, p_hi, p_lo, p_hi, u_lo, u_hi)
-    y_up = discounted_time_split(canon_problem, p_lo, p_hi)
-    y_dn = discounted_time_split(canon_problem, p_hi, p_lo)
-    assert lo_val == pytest.approx(y_up * u_lo + (1.0 - y_up) * hi_val, abs=1e-10)
-    assert hi_val == pytest.approx(y_dn * u_hi + (1.0 - y_dn) * lo_val, abs=1e-10)
-
-
-def test_split_value_line_pinned_endpoint(pinned_problem):
-    # p* = p_lo: the belief never leaves the low endpoint, so L(p_lo) = u_lo.
-    val = split_value_linear(pinned_problem, 0.5, 0.5, 0.8, 0.7, 1.0)
-    assert val == pytest.approx(0.7, abs=1e-15)
-
-
-def test_split_value_line_is_linear(canon_problem):
-    ps = np.linspace(0.4, 0.6, 11)
-    vals = [split_value_linear(canon_problem, float(p), 0.4, 0.6, 0.8, 0.95) for p in ps]
-    assert np.max(np.abs(np.diff(vals, 2))) <= 1e-14
-
-
-def test_split_value_line_errors(canon_problem):
-    with pytest.raises(OutOfRange, match="does not contain p"):
-        split_value_linear(canon_problem, 0.7, 0.6, 0.8, 0.9, 1.0)
-    with pytest.raises(OutOfRange, match="bracket has zero width"):
-        split_value_linear(canon_problem, 0.5, 0.5, 0.5, 0.9, 1.0)
-    with pytest.raises(OutOfRange):
-        split_value_linear(canon_problem, 0.9, 0.4, 0.6, 0.8, 0.95)

@@ -58,6 +58,13 @@ def test_grid_too_coarse(canon_problem):
         make_grid(canon_problem, 0.5)
 
 
+@pytest.mark.parametrize("gap", [1e-9, 1e-300, 5e-324])
+def test_grid_point_ceiling(canon_problem, gap):
+    # 1 / 5e-324 overflows to inf, which the ceiling rejects as well.
+    with pytest.raises(OutOfRange, match="would need more than 10000000 points"):
+        make_grid(canon_problem, gap)
+
+
 # --- upper hull ---------------------------------------------------------------
 
 def test_upper_hull_dominates_and_is_concave():

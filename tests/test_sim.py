@@ -20,6 +20,7 @@ from persuade.sim import (
     compare_policies,
     default_period,
     simulate,
+    sized_horizon,
 )
 from persuade.solver import MarkovPolicy, solve
 
@@ -32,7 +33,7 @@ def test_default_period_scales_with_rates(canon_problem):
 
 @pytest.mark.parametrize("kwargs", [
     {"delta": 0.0}, {"horizon": 0}, {"n_paths": 0}, {"initial_belief": 1.5},
-    {"initial_belief": -0.1},
+    {"initial_belief": -0.1}, {"horizon": 10**7 + 1},
 ])
 def test_config_validation(kwargs):
     base = {"delta": 0.01, "horizon": 100, "n_paths": 10, "seed": 0,
@@ -40,6 +41,13 @@ def test_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(OutOfRange):
         SimConfig(**base)
+
+
+def test_sized_horizon_ceiling(canon_problem):
+    # Canon: spread 1 and r = 1, so the horizon is ceil(ln(20) / delta).
+    assert sized_horizon(canon_problem, 3e-7, 0.05) == 9985775
+    with pytest.raises(OutOfRange, match="needs a horizon of more than 10000000 periods"):
+        sized_horizon(canon_problem, 2.9e-7, 0.05)
 
 
 def test_horizon_too_short(canon_problem, canon_solution):

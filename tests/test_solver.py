@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from persuade.dynamics import discounted_time_split
 from persuade.errors import ProblemValidationError, SolverError
 from persuade.model import parse_problem
 from persuade.solver import (
@@ -82,6 +83,24 @@ def test_canon_cutoff_independent_root(canon_solution):
 
     q_ref = brentq(residual, 0.601, 0.799, xtol=1e-14)
     assert abs(q_ref - canon_solution.cutoffs[0]) <= 1e-10
+
+
+def test_center_line_endpoint_recursions(canon_problem):
+    # The line on the interval [p0, p1] holding p* is the value of splitting
+    # to its ends: L(end) = Y u(end) + (1 - Y) L(other), with the split reach
+    # time Y in each direction.
+    rng = np.random.default_rng(41)
+    for problem in [canon_problem] + [random_instance(rng) for _ in range(20)]:
+        k = problem.pivot
+        line = solve(problem).value.segments[k]
+        p0, p1 = problem.payoff.cuts[k], problem.payoff.cuts[k + 1]
+        u0, u1 = problem.payoff.value(p0), problem.payoff.value(p1)
+        assert (line.kind, line.lo, line.hi) == ("linear", p0, p1)
+        v0, v1 = float(line.value_at(p0)), float(line.value_at(p1))
+        y_up = discounted_time_split(problem, p0, p1)
+        y_down = discounted_time_split(problem, p1, p0)
+        assert v0 == pytest.approx(y_up * u0 + (1.0 - y_up) * v1, abs=1e-10)
+        assert v1 == pytest.approx(y_down * u1 + (1.0 - y_down) * v0, abs=1e-10)
 
 
 def test_canon_tangent_line_reaches_next_cut(canon_solution):
@@ -382,6 +401,60 @@ def test_verify_flags_corner_at_moved_cutoff(canon_problem, canon_solution, shif
     rep = verify_solution(canon_problem, broken)
     assert [(v.condition, v.belief) for v in rep.violations] == [("corner", 0.8)]
     assert rep.max_pasting_gap == pytest.approx(jump, rel=0.02)
+
+
+def chord(a, va, b, vb):
+    slope = (vb - va) / (b - a)
+    return ValueSegment.linear(a, b, va - slope * a, slope)
+
+
+def polyline(points):
+    """Value of linear segments through the (belief, value) points."""
+    return PiecewiseValue(chord(*a, *b) for a, b in zip(points, points[1:]))
+
+
+def steep_below(solution, cuts, slope=2.0, width=5e-10):
+    """The value with its last `width` below each given cut replaced by a steep line.
+
+    Each line below such a cut is bent to meet the steep piece, so the value
+    stays continuous; its convex kink falls between grid points.
+    """
+    segments = []
+    for seg in solution.value.segments:
+        if seg.hi not in cuts:
+            segments.append(seg)
+            continue
+        x = seg.hi - width
+        steep = ValueSegment.linear(x, seg.hi, float(seg.value_at(seg.hi)) - slope * seg.hi, slope)
+        segments += [chord(seg.lo, float(seg.value_at(seg.lo)), x, float(steep.value_at(x))),
+                     steep]
+    return dataclasses.replace(solution, value=PiecewiseValue(segments))
+
+
+def test_verify_flags_balance_left_only(canon_problem, canon_solution):
+    # Below p* a left derivative steeper than the right one lowers only the
+    # left residual v'(c-)(c - p*) + mu (v(c) - u(c-)): at 0.2 it is
+    # -0.6 + 0.5 * 0.7625 and at 0.4 it is -0.2 + 0.5 * 0.35.
+    broken = steep_below(canon_solution, (0.2, 0.4))
+    rep = verify_solution(canon_problem, broken)
+    assert [(v.condition, v.belief) for v in rep.violations] == \
+        [("balance_left", 0.2), ("balance_left", 0.4)]
+    assert [v.magnitude for v in rep.violations] == pytest.approx([0.21875, 0.025], abs=1e-8)
+    assert rep.max_residual_deficit == pytest.approx(0.21875, abs=1e-8)
+
+
+# Flat payoff 0.6 with p* = 0.5 and mu = 0.5; five grid points 0, 0.25, ..., 1.
+@pytest.mark.parametrize("points, expected", [
+    ([(0.0, 0.7), (0.25, 0.7), (0.75, 0.705), (1.0, 0.7125)],
+     [("binding", 0.0), ("binding", 1.0), ("concavity", 0.25), ("concavity", 0.75)]),
+    ([(0.0, 0.7), (0.5, 0.7), (1.0, 0.69)],
+     [("binding", 0.0), ("binding", 1.0), ("monotonicity", 0.5)]),
+], ids=["concavity", "monotonicity"])
+def test_verify_flags_shape(flat_problem, points, expected):
+    broken = dataclasses.replace(solve(flat_problem), value=polyline(points))
+    rep = verify_solution(flat_problem, broken, n_points=5)
+    assert [(v.condition, v.belief) for v in rep.violations] == expected
+    assert rep.max_residual_deficit == 0.0
 
 
 def test_verify_random_instances():
