@@ -57,6 +57,19 @@ DEFAULT_MAX_ITER = 200_000
 CONTACT_TOL = 5e-7
 
 
+def _discount_factor(problem: Problem, delta: float) -> float:
+    """Per-period discount factor x = e^{-r delta}; OutOfRange when it rounds to 1.
+
+    At x = 1 the period payoff weight 1 - x is zero and neither value
+    iteration nor the policy's linear system has a unique solution.
+    """
+    x = math.exp(-problem.discounting.r * delta)
+    if x == 1.0:
+        raise OutOfRange(f"period length {delta!r} is too short: the discount factor "
+                         "exp(-r delta) rounds to 1")
+    return x
+
+
 class BeliefGrid:
     """Sorted, deduplicated belief grid including every payoff cut."""
 
@@ -182,7 +195,7 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
         raise OutOfRange(f"tolerance must be finite and non-negative, got {tol!r}")
     if max_iter < 1:
         raise OutOfRange(f"max_iter must be at least 1, got {max_iter!r}")
-    x = math.exp(-problem.discounting.r * delta)
+    x = _discount_factor(problem, delta)
     pts = grid.points
     u = problem.payoff.value(pts)
     drifted = a + b * pts
@@ -244,7 +257,7 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
     from scipy.sparse.linalg import spsolve
 
     a, b = drift_map(problem.rates, delta)
-    x = math.exp(-problem.discounting.r * delta)
+    x = _discount_factor(problem, delta)
     pts = grid.points
     n = pts.size
     drifted = a + b * pts

@@ -15,15 +15,20 @@ Period weights (1 - x) x^n, n = 0, 1, ..., sum to one over an infinite
 horizon, so simulated means are directly comparable to the solver's value.
 
 Paths are simulated in chunks of at most _CHUNK paths, split evenly (sizes
-differ by at most one), each drawing from a PCG64 generator on its own child
-of the master seed sequence.  Chunk payoff sums are folded in chunk order
-with math.fsum and integer visit counts are added, so results are
-bit-identical for a given seed no matter how many worker threads run (one
-per available core by default; set PERSUADE_THREADS to override).  The bit
-generator and the chunk layout are part of the random stream: changing
-either changes the result for a given seed.  State randomness is drawn
-before any policy-dependent quantity, so runs with the same seed see
-identical state paths under different policies.
+differ by at most one).  Each chunk spawns two children of its own child of
+the master seed sequence and runs a PCG64 generator on each.  The state
+generator draws every path's initial state and then its holding times: the
+periods to its next flip are geometric with the flip probability of its
+current state, drawn by inversion, so a period costs no state draw where no
+path flips.  Flips are scheduled in blocks of _FLIP_BLOCK periods.  The
+message generator draws one uniform per path and period.  Chunk payoff sums
+are folded in chunk order with math.fsum and integer visit counts are added,
+so results are bit-identical for a given seed no matter how many worker
+threads run (one per available core by default; set PERSUADE_THREADS to
+override).  The bit generator, the chunk layout and the scheduling block are
+part of the random stream: changing any of them changes the result for a
+given seed.  State paths come from their own generator, so runs with the
+same seed see identical state paths under different policies.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ __all__ = [
 ]
 
 _CHUNK = 32768
+# Periods whose state flips are scheduled together (part of the random stream).
+_FLIP_BLOCK = 16
 # 21 equal bins: with a bin count that shares no small factor with the
 # decimal grids cuts are usually written in (multiples of 0.05 or 0.1),
 # posterior atoms at cut values land in bin interiors instead of on edges,
@@ -182,18 +189,20 @@ class _BeliefTable:
     so a path carries the code of (atom, k) and code + 1 is one more drift
     step.  Each atom's chain ends at its first drifted belief (k >= 1) that
     the policy splits, or after `horizon` drift steps.  A path holds its code
-    and hidden state as one integer s = 2 * code + state, so every period
-    lookup is one take on s; next_s[2 * s + high] is the post-message s
-    (the same s where the policy slides).
+    and hidden state as one integer cur = 4 * code + 2 * state, its code at
+    the start of a period; the period tables are indexed by cur with the
+    drift step folded in, so a period is one take for the message law and
+    next_cur[cur + high] is the post-message cur (the drifted code where the
+    policy slides).
     """
 
     start: int              # code of the initial belief
     belief: np.ndarray      # belief per code
     bin: np.ndarray         # calibration bin per code
-    flip: np.ndarray        # per s: P(0->1) = a or P(1->0) = 1 - a - b
-    p_high: np.ndarray      # per s: beta0 or beta1
-    level: np.ndarray       # per s: u(belief)
-    next_s: np.ndarray      # per 2 * s + high: post-message s
+    flip: tuple[float, float]  # P(0->1) = a, P(1->0) = 1 - a - b
+    p_high: np.ndarray      # per cur: beta0 or beta1 at the drifted code
+    level: np.ndarray       # per cur: u(belief)
+    next_cur: np.ndarray    # per cur + high: post-message cur
 
 
 def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> _BeliefTable:
@@ -234,8 +243,10 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
         offsets[atom] = size
         size += len(chain)
     belief = np.concatenate([np.array(chain) for chain in chains.values()])
-    p_high = np.zeros((belief.size, 2))
-    next_code = np.repeat(np.arange(belief.size)[:, None], 2, axis=1)
+    # Indexed by the drifted code; row `size` pads the last code, which no
+    # path starts a period at (it is a split or the horizon's end).
+    p_high = np.zeros((size + 1, 2))
+    next_code = np.repeat(np.arange(size + 1)[:, None], 2, axis=1)
     for atom, signal in signals.items():
         code = offsets[atom] + len(chains[atom]) - 1
         p_high[code] = signal.beta0, signal.beta1
@@ -244,34 +255,80 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
         start=offsets[float(config.initial_belief)],
         belief=belief,
         bin=np.clip((belief * _N_BINS).astype(np.int64), 0, _N_BINS - 1),
-        flip=np.tile((drift0, 1.0 - drift0 - drift_slope), belief.size),
-        p_high=p_high.ravel(),
-        level=np.repeat(problem.payoff.value(belief), 2),
-        next_s=(2 * next_code[:, None, :] + np.arange(2)[:, None]).ravel(),
+        flip=(drift0, 1.0 - drift0 - drift_slope),
+        p_high=np.repeat(p_high[1:], 2, axis=1).ravel(),
+        level=np.repeat(problem.payoff.value(belief), 4),
+        next_cur=(4 * next_code[1:, None, :] + 2 * np.arange(2)[:, None]).ravel(),
     )
 
 
+def _holding_times(rng, state: np.ndarray, log_stay: np.ndarray, horizon: int) -> np.ndarray:
+    """Geometric periods to the next flip out of each state, on 1, 2, ..., by inversion.
+
+    log_stay holds log(1 - P(flip)) per state.  One uniform per draw, worked
+    in place.  Draws are capped at horizon + 1, which reaches past the run
+    from any start, before anything is added to them; a flip probability of
+    0 gives the cap.
+    """
+    periods = rng.random(state.size)
+    np.log1p(np.negative(periods, out=periods), out=periods)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(periods, np.where(state, log_stay[1], log_stay[0]), out=periods)
+    np.floor(periods, out=periods)
+    periods += 1.0
+    return np.fmin(periods, horizon + 1, out=periods).astype(np.int64)
+
+
+def _flip_schedule(rng, state, next_flip, log_stay, first, stop, horizon):
+    """Per period from first to stop - 1, the paths whose state flips in it.
+
+    next_flip[j] is the period in which path j's state next flips; every due
+    flip toggles state and draws the following holding time, in rounds of
+    all paths still due before stop, in path order.
+    """
+    due = np.flatnonzero(next_flip < stop)
+    paths, periods = [due], [next_flip[due]]
+    while due.size:
+        state[due] ^= True
+        next_flip[due] += _holding_times(rng, state[due], log_stay, horizon)
+        due = due[next_flip[due] < stop]
+        paths.append(due)
+        periods.append(next_flip[due])
+    periods = np.concatenate(periods)
+    order = np.argsort(periods, kind="stable")
+    return np.split(np.concatenate(paths)[order],
+                    np.searchsorted(periods[order], np.arange(first + 1, stop)))
+
+
 def _run_chunk(table, config, n_paths, seed_seq, weights, want_trace):
-    """Simulate one chunk; returns payoff sums and occupancy[s], the periods ended at s."""
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    """Simulate one chunk; returns payoff sums and occupancy[cur], the periods ended at cur."""
+    state_seq, message_seq = seed_seq.spawn(2)
+    state_rng = np.random.Generator(np.random.PCG64(state_seq))
+    message_rng = np.random.Generator(np.random.PCG64(message_seq))
+    horizon = config.horizon
+    log_stay = np.log1p(-np.array(table.flip))  # per state: log(1 - P(flip))
 
-    s = 2 * table.start + (rng.random(n_paths) < config.initial_belief)
-    draws = np.empty((2, n_paths))  # flip and message uniforms, one fill
+    state = state_rng.random(n_paths) < config.initial_belief
+    next_flip = _holding_times(state_rng, state, log_stay, horizon) - 1
+    cur = 4 * table.start + 2 * state.astype(np.int64)
+    draws = np.empty(n_paths)
     totals = np.zeros(n_paths)
-    occupancy = np.zeros(table.flip.size, dtype=np.int64)
-    trace = np.empty((config.horizon, 5)) if want_trace else None
+    occupancy = np.zeros(table.next_cur.size, dtype=np.int64)
+    trace = np.empty((horizon, 5)) if want_trace else None
 
-    for n in range(config.horizon):
-        rng.random(out=draws)
-        s ^= draws[0] < np.take(table.flip, s)
-        s += 2
-        drifted = table.belief[s[0] >> 1] if want_trace else 0.0
-        high = draws[1] < np.take(table.p_high, s)
-        s = np.take(table.next_s, 2 * s + high)
-        totals += weights[n] * np.take(table.level, s)
-        np.add.at(occupancy, s, 1)
-        if want_trace:
-            trace[n] = (n, (n + 1) * config.delta, s[0] & 1, drifted, table.belief[s[0] >> 1])
+    for first in range(0, horizon, _FLIP_BLOCK):
+        stop = min(first + _FLIP_BLOCK, horizon)
+        schedule = _flip_schedule(state_rng, state, next_flip, log_stay, first, stop, horizon)
+        for n, flipping in enumerate(schedule, start=first):
+            cur[flipping] ^= 2
+            message_rng.random(out=draws)
+            drifted = table.belief[(cur[0] >> 2) + 1] if want_trace else 0.0
+            cur = np.take(table.next_cur, cur + (draws < np.take(table.p_high, cur)))
+            totals += weights[n] * np.take(table.level, cur)
+            np.add.at(occupancy, cur, 1)
+            if want_trace:
+                trace[n] = (n, (n + 1) * config.delta, cur[0] >> 1 & 1, drifted,
+                            table.belief[cur[0] >> 2])
 
     return float(np.sum(totals)), float(np.sum(totals * totals)), occupancy, trace
 
@@ -335,7 +392,7 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
 
     total = math.fsum(out[0] for out in outputs)
     total_sq = math.fsum(out[1] for out in outputs)
-    occupancy = sum(out[2] for out in outputs).reshape(-1, 2)  # (code, state)
+    occupancy = sum(out[2] for out in outputs).reshape(-1, 4)[:, ::2]  # (code, state)
     visits = occupancy.sum(axis=1)
     counts = np.bincount(table.bin, weights=visits, minlength=_N_BINS)  # exact below 2**53
     state_one = np.bincount(table.bin, weights=occupancy[:, 1], minlength=_N_BINS)

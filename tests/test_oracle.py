@@ -204,6 +204,16 @@ def test_value_iteration_rejects_bad_delta(canon_problem):
         value_iteration(canon_problem, 0.0, grid)
 
 
+@pytest.mark.parametrize("delta", [1e-300, 1e-17])
+def test_discount_factor_rounding_to_one_is_out_of_range(canon_problem, canon_solution, delta):
+    # exp(-r delta) == 1.0: the period weight 1 - x vanishes.
+    grid = make_grid(canon_problem, 1e-2)
+    with pytest.raises(OutOfRange, match="discount factor exp\\(-r delta\\) rounds to 1"):
+        value_iteration(canon_problem, delta, grid)
+    with pytest.raises(OutOfRange, match="rounds to 1"):
+        evaluate_policy_discrete(canon_problem, canon_solution.policy, delta, grid)
+
+
 @pytest.mark.parametrize("kwargs,match", [
     ({"tol": -1.0}, "tolerance"), ({"tol": math.nan}, "tolerance"),
     ({"tol": math.inf}, "tolerance"), ({"max_iter": 0}, "max_iter"),

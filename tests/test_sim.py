@@ -14,6 +14,7 @@ import pytest
 from persuade import sim
 from persuade.dynamics import drift_map
 from persuade.errors import OutOfRange, SimulationError
+from persuade.model import parse_problem
 from persuade.oracle import myopic_policy, slide_only_policy
 from persuade.sim import (
     SimConfig,
@@ -23,6 +24,8 @@ from persuade.sim import (
     sized_horizon,
 )
 from persuade.solver import MarkovPolicy, solve
+
+from conftest import CANON_RAW
 
 
 # --- configuration ------------------------------------------------------------
@@ -106,24 +109,56 @@ def test_single_path_has_no_std_error(flat_problem):
 
 # --- table-driven step against a per-path float loop ----------------------------
 
+def _reference_states(problem, config, state_rng):
+    """Hidden states per (period, path), post-flip, from geometric holding times.
+
+    Each path draws its initial state, then the period of its first flip
+    (one uniform per holding time, by inversion).  Within each block of
+    sim._FLIP_BLOCK periods, rounds of holding times are drawn, in path
+    order, for every path whose next flip still falls in the block.  A
+    path's state is its initial state XOR the parity of its flips so far.
+    """
+    n_paths, horizon, block = config.n_paths, config.horizon, sim._FLIP_BLOCK
+    drift0, drift_slope = drift_map(problem.rates, config.delta)
+    prob_up, prob_down = drift0, 1.0 - drift0 - drift_slope
+
+    def holding_times(state):
+        uniform = state_rng.random(state.size)
+        periods = np.floor(np.log1p(-uniform) / np.log1p(-np.where(state, prob_down, prob_up))) + 1
+        return np.where(periods <= horizon, periods, horizon + 1).astype(np.int64)
+
+    initial = state_rng.random(n_paths) < config.initial_belief
+    state = initial.copy()
+    next_flip = holding_times(state) - 1
+    flips = np.zeros((horizon, n_paths), dtype=bool)
+    for first in range(0, horizon, block):
+        stop = min(first + block, horizon)
+        while (due := np.flatnonzero(next_flip < stop)).size:
+            flips[next_flip[due], due] = True
+            state[due] = ~state[due]
+            next_flip[due] += holding_times(state[due])
+    return initial ^ np.logical_xor.accumulate(flips, axis=0)
+
+
 def _float_loop_reference(problem, policy, config):
     """One chunk simulated with a float belief per path, region by region.
 
     Returns per-path discounted totals, the calibration tallies and the trace
-    of the first path, for an exact comparison with simulate().  Each bin's
-    belief sum is summed exactly over (belief, visit count) pairs and rounded
-    once.
+    of the first path, for an exact comparison with simulate().  States come
+    from the chunk's state generator, messages from its message generator,
+    one uniform per path and period.  Each bin's belief sum is summed exactly
+    over (belief, visit count) pairs and rounded once.
     """
     n_paths, horizon = config.n_paths, config.horizon
     seed_seq = np.random.SeedSequence(config.seed).spawn(1)[0]
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    state_rng, message_rng = (np.random.Generator(np.random.PCG64(child))
+                              for child in seed_seq.spawn(2))
+    states = _reference_states(problem, config, state_rng)
     drift0, drift_slope = drift_map(problem.rates, config.delta)
-    prob_up, prob_down = drift0, 1.0 - drift0 - drift_slope
     x = math.exp(-problem.discounting.r * config.delta)
     weights = (1.0 - x) * x ** np.arange(horizon)
     n_bins = 21
 
-    state = rng.random(n_paths) < config.initial_belief
     belief = np.full(n_paths, float(config.initial_belief))
     totals = np.zeros(n_paths)
     counts = np.zeros(n_bins, dtype=np.int64)
@@ -131,9 +166,8 @@ def _float_loop_reference(problem, policy, config):
     visits = Counter()
     trace = np.empty((horizon, 5))
     for n in range(horizon):
-        flip_draw = rng.random(n_paths)
-        message_draw = rng.random(n_paths)
-        state = state ^ np.where(state, flip_draw < prob_down, flip_draw < prob_up)
+        message_draw = message_rng.random(n_paths)
+        state = states[n]
         belief = drift0 + drift_slope * belief
         drifted = belief[0]
         region_idx = policy.region_index(belief)
@@ -160,6 +194,16 @@ def _float_loop_reference(problem, policy, config):
     return totals, counts, state_one, belief_sum, trace
 
 
+def _assert_matches_float_loop(problem, policy, config, max_tail=sim.DEFAULT_MAX_TAIL):
+    res = simulate(problem, policy, config, record_trace=True, max_tail=max_tail)
+    totals, counts, state_one, belief_sum, trace = _float_loop_reference(problem, policy, config)
+    assert res.mean_discounted_payoff == float(np.sum(totals)) / config.n_paths
+    assert [b.count for b in res.calibration] == counts.tolist()
+    assert [b.state_one for b in res.calibration] == state_one.tolist()
+    assert [b.belief_sum for b in res.calibration] == belief_sum.tolist()
+    np.testing.assert_array_equal(res.trace, trace)
+
+
 @pytest.mark.parametrize("case,p0", [
     ("sigma_star", 0.1), ("sigma_star", 0.5), ("sigma_star", 0.62),
     ("sigma_star", 0.9), ("myopic", 0.7), ("slide_only", 0.3), ("pinned", 0.55),
@@ -174,13 +218,21 @@ def test_table_step_matches_float_loop(case, p0, canon_problem, canon_solution,
         "pinned": solve(pinned_problem).policy if case == "pinned" else None,
     }[case]
     config = SimConfig(delta=0.01, horizon=300, n_paths=2000, seed=19, initial_belief=p0)
-    res = simulate(problem, policy, config, record_trace=True)
-    totals, counts, state_one, belief_sum, trace = _float_loop_reference(problem, policy, config)
-    assert res.mean_discounted_payoff == float(np.sum(totals)) / config.n_paths
-    assert [b.count for b in res.calibration] == counts.tolist()
-    assert [b.state_one for b in res.calibration] == state_one.tolist()
-    assert [b.belief_sum for b in res.calibration] == belief_sum.tolist()
-    np.testing.assert_array_equal(res.trace, trace)
+    _assert_matches_float_loop(problem, policy, config)
+
+
+@pytest.mark.parametrize("horizon,n_paths", [
+    (5, 300), (sim._FLIP_BLOCK, 300), (20 * sim._FLIP_BLOCK, 700), (333, 1), (2, 1),
+])
+def test_table_step_matches_float_loop_at_block_edges(horizon, n_paths, canon_problem,
+                                                      canon_solution):
+    # Horizons shorter than, equal to, a multiple of and off a scheduling
+    # block, and single paths; the fast chain flips several times per block.
+    config = SimConfig(delta=0.01, horizon=horizon, n_paths=n_paths, seed=31,
+                       initial_belief=0.45)
+    _assert_matches_float_loop(canon_problem, canon_solution.policy, config, max_tail=math.inf)
+    fast = parse_problem(dict(CANON_RAW, lambda0=30.0, lambda1=20.0))
+    _assert_matches_float_loop(fast, myopic_policy(fast), config, max_tail=math.inf)
 
 
 @pytest.mark.parametrize("regions,p0", [
@@ -292,6 +344,34 @@ def test_state_frequency_matches_stationary_belief(canon_problem):
     assert beliefs / total == pytest.approx(0.5, abs=1e-12)
     # Paths are independent; a per-path time average has SD at most 0.5.
     assert abs(ones / total - 0.5) <= 3.0 * 0.5 / math.sqrt(4000)
+
+
+@pytest.mark.parametrize("lambda0,lambda1", [(3.0, 1.0), (0.2, 5.0)])
+def test_state_frequency_on_asymmetric_rates(lambda0, lambda1):
+    # Canon's flip probabilities a and 1 - a - b are equal, so a swap of the
+    # two would go unseen there; here it would pull the share to 1 - p*.
+    problem = parse_problem(dict(CANON_RAW, lambda0=lambda0, lambda1=lambda1))
+    p_star = problem.stationary_belief
+    config = SimConfig(delta=0.01, horizon=400, n_paths=4000, seed=29, initial_belief=p_star)
+    res = simulate(problem, slide_only_policy(problem), config)
+    total = sum(b.count for b in res.calibration)
+    ones = sum(b.state_one for b in res.calibration)
+    assert total == 4000 * 400
+    # A per-path time average of a stationary 0/1 chain has variance at most p*(1 - p*).
+    assert abs(ones / total - p_star) <= 3.0 * math.sqrt(p_star * (1.0 - p_star) / 4000)
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-12])
+def test_vanishing_rates_never_flip(rate):
+    # At 1e-300 both flip probabilities round to 0; at 1e-12 every holding
+    # time exceeds the horizon and is capped before it is added.
+    problem = parse_problem(dict(CANON_RAW, lambda0=rate, lambda1=rate))
+    config = SimConfig(delta=0.01, horizon=400, n_paths=1000, seed=3, initial_belief=0.5)
+    res = simulate(problem, slide_only_policy(problem), config, record_trace=True)
+    ones = sum(b.state_one for b in res.calibration)
+    # Every path spends all or none of its periods in state 1.
+    assert ones % 400 == 0 and 0 < ones < 1000 * 400
+    assert len(set(res.trace[:, 2])) == 1
 
 
 def test_calibration_bins_match_beliefs(canon_problem, canon_solution):
