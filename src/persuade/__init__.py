@@ -16,7 +16,6 @@ from .model import (
     load_problem,
     parse_problem,
     problem_to_dict,
-    validate_problem,
 )
 from .dynamics import (
     SplitSignal,
@@ -52,7 +51,6 @@ __all__ = [
     "Discounting",
     "StepPayoff",
     "Problem",
-    "validate_problem",
     "parse_problem",
     "load_problem",
     "problem_to_dict",

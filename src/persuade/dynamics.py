@@ -51,16 +51,17 @@ def _check_belief(name: str, p: float) -> None:
 def drift_map(rates: MarkovRates, delta: float) -> tuple[float, float]:
     """Affine one-period no-information drift (a, b): p -> a + b p.
 
-    With mix = 1 - e^{-Lambda delta} the chain switches 0->1 within a period
-    with probability a = p* mix and 1->0 with probability (1 - p*) mix, so a
-    prior p drifts to p (1 - (1 - p*) mix) + (1 - p) a = a + b p, the silent
-    drift p* + (p - p*) e^{-Lambda delta} after one period.  The period
-    length must be positive, which NaN is not.
+    With mix = 1 - e^{-Lambda delta} (from expm1, so exact to rounding at any
+    Lambda delta) the chain switches 0->1 within a period with probability
+    a = p* mix and 1->0 with probability (1 - p*) mix, so a prior p drifts to
+    p (1 - (1 - p*) mix) + (1 - p) a = a + b p, the silent drift
+    p* + (p - p*) e^{-Lambda delta} after one period.  The period length must
+    be positive, which NaN is not.
     """
     if not delta > 0.0:
         raise OutOfRange(f"period length must be positive, got {delta!r}")
     p_star = rates.stationary_belief
-    mix = 1.0 - math.exp(-rates.switch_rate * delta)
+    mix = -math.expm1(-rates.switch_rate * delta)
     a = p_star * mix
     return a, (1.0 - (1.0 - p_star) * mix) - a
 
@@ -69,7 +70,6 @@ def drift_map(rates: MarkovRates, delta: float) -> tuple[float, float]:
 class SplitSignal:
     """Binary Bayes-plausible split of prior into {low_target, high_target}."""
 
-    prior: float
     low_target: float
     high_target: float
     prob_high: float
@@ -96,7 +96,7 @@ def make_split_signal(q: float, a: float, b: float) -> SplitSignal:
     prob_high = (q - a) / width
     beta1 = b * (q - a) / (q * width)
     beta0 = (1.0 - b) * (q - a) / ((1.0 - q) * width)
-    sig = SplitSignal(prior=q, low_target=a, high_target=b,
+    sig = SplitSignal(low_target=a, high_target=b,
                       prob_high=prob_high, beta1=beta1, beta0=beta0)
     # Bayes consistency; violations here would mean a coding error, not bad input.
     assert -_BAYES_TOL <= prob_high <= 1.0 + _BAYES_TOL

@@ -34,7 +34,6 @@ __all__ = [
     "Discounting",
     "StepPayoff",
     "Problem",
-    "validate_problem",
     "parse_problem",
     "load_problem",
     "problem_to_dict",
@@ -252,12 +251,6 @@ class Problem:
         return self.payoff.n_steps - self.pivot
 
 
-def validate_problem(rates: MarkovRates, discounting: Discounting, cuts, levels) -> Problem:
-    """Build a validated Problem; raises ProblemValidationError on failure."""
-    payoff = StepPayoff(cuts, levels)
-    return Problem(rates=rates, discounting=discounting, payoff=payoff)
-
-
 _SCHEMA_FIELDS = ("lambda0", "lambda1", "r", "cuts", "levels")
 
 
@@ -282,11 +275,10 @@ def parse_problem(raw) -> Problem:
             problems.append(f"field {key!r} must be a list of finite numbers")
     if problems:
         raise ProblemValidationError(problems)
-    return validate_problem(
-        MarkovRates(float(raw["lambda0"]), float(raw["lambda1"])),
-        Discounting(float(raw["r"])),
-        raw["cuts"],
-        raw["levels"],
+    return Problem(
+        rates=MarkovRates(float(raw["lambda0"]), float(raw["lambda1"])),
+        discounting=Discounting(float(raw["r"])),
+        payoff=StepPayoff(raw["cuts"], raw["levels"]),
     )
 
 

@@ -73,19 +73,15 @@ def _discount_factor(problem: Problem, delta: float) -> float:
 class BeliefGrid:
     """Sorted, deduplicated belief grid including every payoff cut."""
 
-    __slots__ = ("points", "gap")
+    __slots__ = ("points",)
 
-    def __init__(self, points, gap: float):
+    def __init__(self, points):
         arr = np.asarray(points, dtype=float)
         arr.setflags(write=False)
         self.points = arr
-        self.gap = float(gap)
 
     def __len__(self) -> int:
         return int(self.points.size)
-
-    def __repr__(self) -> str:
-        return f"BeliefGrid({len(self)} points, gap={self.gap})"
 
 
 def make_grid(problem: Problem, gap: float, extra=()) -> BeliefGrid:
@@ -122,7 +118,7 @@ def make_grid(problem: Problem, gap: float, extra=()) -> BeliefGrid:
                 f"payoff interval [{cuts[i]}, {cuts[i + 1]}) has only {count} "
                 f"grid points at gap {gap}"
             )
-    return BeliefGrid(pts, gap)
+    return BeliefGrid(pts)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -177,6 +173,13 @@ def _upper_hull(xs: np.ndarray, ys: np.ndarray):
     return xs[stack], ys[stack]
 
 
+def _bellman_step(pts, u, w, x, beliefs):
+    """Hull of the one-period payoffs phi = (1-x) u + x w on the grid, read at beliefs; and phi."""
+    phi = (1.0 - x) * u + x * w
+    hx, hy = _upper_hull(pts, phi)
+    return np.interp(beliefs, hx, hy), phi
+
+
 def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
                     tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> OracleResult:
@@ -203,9 +206,7 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
     history: list[float] = []
     threshold = tol * (1.0 - x)
     for iteration in range(1, max_iter + 1):
-        phi = (1.0 - x) * u + x * w
-        hx, hy = _upper_hull(pts, phi)
-        w_new = np.interp(drifted, hx, hy)
+        w_new, _ = _bellman_step(pts, u, w, x, drifted)
         step = w_new - w
         low, high = float(np.min(step)), float(np.max(step))
         history.append(max(high, -low))
@@ -228,11 +229,10 @@ def contact_gap(problem: Problem, result: OracleResult) -> np.ndarray:
     Zero (up to iteration noise) where the discrete game is content to hold
     the drifted belief, strictly positive where it prefers a split.
     """
-    x = math.exp(-problem.discounting.r * result.delta)
     pts = result.grid.points
-    phi = (1.0 - x) * problem.payoff.value(pts) + x * result.values
-    hx, hy = _upper_hull(pts, phi)
-    return np.interp(pts, hx, hy) - phi
+    hull, phi = _bellman_step(pts, problem.payoff.value(pts), result.values,
+                              _discount_factor(problem, result.delta), pts)
+    return hull - phi
 
 
 def dp_split_mask(problem: Problem, result: OracleResult,

@@ -163,10 +163,6 @@ class SimResult:
     calibration: tuple[CalibrationBin, ...]
     trace: np.ndarray | None = None
 
-    @property
-    def n_paths(self) -> int:
-        return self.config.n_paths
-
 
 def _thread_count() -> int:
     raw = os.environ.get("PERSUADE_THREADS")

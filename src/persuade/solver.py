@@ -35,7 +35,7 @@ slide-equivalent behavior at every cutoff boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -229,9 +229,9 @@ class PolicyRegion:
 class MarkovPolicy:
     """Belief-stationary policy: ordered regions partitioning [0, 1]."""
 
-    __slots__ = ("regions", "cutoffs", "_starts")
+    __slots__ = ("regions", "_starts")
 
-    def __init__(self, regions, cutoffs=()):
+    def __init__(self, regions):
         regions = tuple(regions)
         if not regions:
             raise ProblemValidationError(["policy has no regions"])
@@ -243,7 +243,6 @@ class MarkovPolicy:
             if a.hi != b.lo:
                 raise ProblemValidationError([f"regions leave a gap between {a.hi} and {b.lo}"])
         self.regions = regions
-        self.cutoffs = tuple(float(c) for c in cutoffs)
         self._starts = np.array([r.lo for r in regions])
 
     def region_index(self, p):
@@ -253,24 +252,30 @@ class MarkovPolicy:
     def region_at(self, p: float) -> PolicyRegion:
         return self.regions[self.region_index(p)]
 
-    def to_dict(self) -> dict:
-        return {"regions": [r.to_dict() for r in self.regions],
-                "cutoffs": list(self.cutoffs)}
-
     @staticmethod
     def from_dict(d: dict) -> "MarkovPolicy":
-        return MarkovPolicy([PolicyRegion.from_dict(r) for r in d["regions"]],
-                            d.get("cutoffs", ()))
+        return MarkovPolicy(PolicyRegion.from_dict(r) for r in d["regions"])
 
 
 @dataclass(frozen=True, slots=True)
 class Solution:
-    """Solved instance: closed-form value, optimal policy, cutoffs."""
+    """Solved instance: the closed-form value, and the policy and cutoffs read off it."""
 
     problem: Problem
     value: PiecewiseValue
-    policy: MarkovPolicy
-    cutoffs: tuple[float, ...]
+    policy: MarkovPolicy = field(init=False)
+    cutoffs: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        # A line splits to its own ends (a one-level payoff's line slides), an
+        # arc slides, and a cutoff is the start of a line that follows an arc.
+        segs = self.value.segments
+        splits = self.problem.payoff.n_steps > 1
+        object.__setattr__(self, "policy", MarkovPolicy(
+            PolicyRegion(s.lo, s.hi, "split", s.lo, s.hi) if splits and s.kind == "linear"
+            else PolicyRegion(s.lo, s.hi, "slide") for s in segs))
+        object.__setattr__(self, "cutoffs", tuple(b.lo for a, b in zip(segs, segs[1:])
+                                                  if a.kind == "slide_arc" and b.kind == "linear"))
 
     def to_dict(self) -> dict:
         return {
@@ -285,10 +290,9 @@ class Solution:
 
 
 def solution_from_dict(d: dict) -> Solution:
-    problem = parse_problem(d["problem"])
-    value = PiecewiseValue(ValueSegment.from_dict(s) for s in d["segments"])
-    return Solution(problem=problem, value=value, policy=MarkovPolicy.from_dict(d),
-                    cutoffs=tuple(d["cutoffs"]))
+    """Solution from its JSON form; reads only `problem` and `segments`."""
+    return Solution(parse_problem(d["problem"]),
+                    PiecewiseValue(ValueSegment.from_dict(s) for s in d["segments"]))
 
 
 # --- construction ------------------------------------------------------------
@@ -389,18 +393,11 @@ def _solve_above_interval(problem: Problem, j: int, v_at_pj: float):
 
 
 def solve(problem: Problem) -> Solution:
-    """Closed-form value function and optimal policy for a validated problem.
-
-    The policy is read off the value's pieces: each line splits to its own
-    two ends, each slide arc reveals nothing, and a line that follows an arc
-    starts at a pasting cutoff.
-    """
+    """Closed-form value function for a validated problem; Solution reads the policy off it."""
     levels = problem.payoff.levels
     if len(levels) == 1:
-        # Flat payoff: every policy earns the same; reveal nothing.
-        value = PiecewiseValue([ValueSegment.linear(0.0, 1.0, levels[0], 0.0)])
-        policy = MarkovPolicy([PolicyRegion(0.0, 1.0, "slide")])
-        return Solution(problem=problem, value=value, policy=policy, cutoffs=())
+        # Flat payoff: every policy earns the same.
+        return Solution(problem, PiecewiseValue([ValueSegment.linear(0.0, 1.0, levels[0], 0.0)]))
 
     center, v0, v_boundary = _solve_center(problem)
     segments = _solve_below(problem, v0) + [center]
@@ -408,13 +405,9 @@ def solve(problem: Problem) -> Solution:
         above, v_boundary = _solve_above_interval(problem, j, v_boundary)
         segments += above
 
-    cutoffs = tuple(b.lo for a, b in zip(segments, segments[1:])
-                    if a.kind == "slide_arc" and b.kind == "linear")
-    policy = MarkovPolicy([PolicyRegion(s.lo, s.hi, "split", s.lo, s.hi) if s.kind == "linear"
-                           else PolicyRegion(s.lo, s.hi, "slide") for s in segments], cutoffs)
     value = PiecewiseValue(segments)
     value.check_shape()
-    return Solution(problem=problem, value=value, policy=policy, cutoffs=cutoffs)
+    return Solution(problem, value)
 
 
 # --- verification ------------------------------------------------------------

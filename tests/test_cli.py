@@ -196,12 +196,17 @@ def test_simulate_policy_from_solution_file(tmp_path, canon_config):
     sol_csv = tmp_path / "sol.csv"
     assert main(["solve", "--config", canon_config, "--out", str(sol_csv)]) == 0
     out = tmp_path / "sim.json"
-    code = main(["simulate", "--config", canon_config, "--out", str(out),
-                 "--policy", str(tmp_path / "sol.json"), "--delta", "0.02",
-                 "--horizon", "200", "--paths", "500"])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["policy"].endswith("sol.json")
+    payloads = []
+    for policy in (str(tmp_path / "sol.json"), "sigma_star"):
+        assert main(["simulate", "--config", canon_config, "--out", str(out),
+                     "--policy", policy, "--delta", "0.02",
+                     "--horizon", "200", "--paths", "500"]) == 0
+        payloads.append(json.loads(out.read_text()))
+    from_file, named = payloads
+    assert from_file.pop("policy").endswith("sol.json")
+    assert named.pop("policy") == "sigma_star"
+    # The solution file's regions are the optimal policy itself.
+    assert from_file == named
 
 
 def test_simulate_bad_policy_json(tmp_path, canon_config, capsys):

@@ -59,6 +59,18 @@ def test_drift_moves_toward_stationary_without_crossing():
     assert drift(rates, p_star, 5.0) == pytest.approx(p_star, abs=1e-15)
 
 
+@pytest.mark.parametrize("total", [2e-14, 1e-9, 1e-5, 0.1])
+def test_drift_map_keeps_precision_at_short_periods(total):
+    # a = p* (1 - e^{-Lambda delta}); the reference sums the series of
+    # 1 - e^{-t}, which 1 - exp(-t) would miss in its low digits.
+    rates = MarkovRates(total / 0.02, total / 0.02)
+    t = rates.switch_rate * 0.01
+    mix = math.fsum((-1.0) ** (k + 1) * t ** k / math.factorial(k) for k in range(1, 20))
+    a, b = drift_map(rates, 0.01)
+    assert a == pytest.approx(0.5 * mix, rel=1e-15, abs=0.0)
+    assert a + b == pytest.approx(1.0 - 0.5 * mix, rel=1e-15, abs=0.0)
+
+
 def test_drift_argument_checks():
     rates = MarkovRates(1.0, 1.0)
     for delta in (0.0, -0.1, math.nan):

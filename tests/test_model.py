@@ -16,7 +16,6 @@ from persuade.model import (
     load_problem,
     parse_problem,
     problem_to_dict,
-    validate_problem,
 )
 
 from persuade.oracle import OracleResult, make_grid
@@ -223,12 +222,6 @@ def test_parse_rejects_wrong_types():
     raw["r"] = "fast"
     with pytest.raises(ProblemValidationError):
         parse_problem(raw)
-
-
-def test_validate_problem_direct_call():
-    prob = validate_problem(MarkovRates(1.0, 1.0), Discounting(1.0),
-                            CANON_RAW["cuts"], CANON_RAW["levels"])
-    assert prob.pivot == 2
 
 
 def test_load_problem_rejects_garbage_json(tmp_path):

@@ -22,6 +22,13 @@ def test_all_names_resolve(module):
     assert not missing, f"{mod.__name__}.__all__ lists undefined names {missing}"
 
 
+def test_package_root_exports_only_submodule_names():
+    # A name pruned from its submodule cannot linger in the package root.
+    exported = set().union(*(importlib.import_module(m).__all__ for m in MODULES[1:]))
+    stray = [name for name in persuade.__all__ if name not in exported | {"__version__"}]
+    assert not stray, f"persuade.__all__ lists names no submodule exports: {stray}"
+
+
 def test_import_does_not_load_scipy_sparse():
     # scipy.sparse is only needed to value a fixed policy exactly; the
     # oracle imports it there, not when the package is imported.

@@ -27,7 +27,18 @@ from persuade.solver import (
     verify_solution,
 )
 
-from conftest import CANON_RAW, canon_variant, random_instance
+from conftest import (
+    CANON_RAW,
+    FLAT_RAW,
+    ONE_ABOVE_RAW,
+    PINNED_RAW,
+    SINGLE_DISC_RAW,
+    canon_variant,
+    random_instance,
+)
+
+# p* = 0.9 inside the top payoff interval [0.8, 1].
+TOP_INTERVAL_RAW = dict(CANON_RAW, lambda0=9.0, lambda1=1.0, r=5.0)
 
 # Value of the canon instance at selected beliefs.  Everything up to 0.6 is
 # exactly rational (chords of the endpoint recursion and the center line);
@@ -206,6 +217,17 @@ def test_single_discontinuity_no_cutoffs(single_disc_problem):
     assert actions == ["split", "slide"]
 
 
+def test_top_interval_center_line_splits():
+    # p* = 0.9 lies in the top interval, so the center line has slope 0 at
+    # the top level; it still splits to its ends.  Only a one-level payoff
+    # slides on its line.
+    sol = solve(parse_problem(TOP_INTERVAL_RAW))
+    assert sol.value.segments[-1].slope == 0.0
+    top = sol.policy.regions[-1]
+    assert (top.lo, top.action, top.low_target, top.high_target) == (0.8, "split", 0.8, 1.0)
+    assert sol.cutoffs == ()
+
+
 def test_flat_payoff_constant_value(flat_problem):
     sol = solve(flat_problem)
     assert sol.cutoffs == ()
@@ -252,11 +274,29 @@ def test_solution_json_round_trip(canon_solution):
 
 
 def test_policy_dict_round_trip(canon_solution):
-    d = canon_solution.policy.to_dict()
-    again = MarkovPolicy.from_dict(d)
+    # simulate --policy reads the regions of a solution file.
+    again = MarkovPolicy.from_dict(json.loads(json.dumps(canon_solution.to_dict())))
     ps = np.linspace(0.0, 1.0, 257)
     np.testing.assert_array_equal(again.region_index(ps),
                                   canon_solution.policy.region_index(ps))
+
+
+def test_solution_from_dict_derives_policy_from_segments(canon_solution):
+    d = json.loads(json.dumps(canon_solution.to_dict()))
+    d["regions"] = [{"lo": 0.0, "hi": 1.0, "action": "slide"}]
+    d["cutoffs"] = [0.123]
+    again = solution_from_dict(d)
+    assert again.cutoffs == canon_solution.cutoffs
+    assert again.policy.regions == canon_solution.policy.regions
+
+
+@pytest.mark.parametrize("raw", [CANON_RAW, PINNED_RAW, ONE_ABOVE_RAW, SINGLE_DISC_RAW,
+                                 FLAT_RAW, TOP_INTERVAL_RAW],
+                         ids=["canon", "pinned", "one_above", "single_disc", "flat",
+                              "top_interval"])
+def test_solution_dict_round_trip_is_byte_identical(raw):
+    d = json.loads(json.dumps(solve(parse_problem(raw)).to_dict()))
+    assert json.dumps(solution_from_dict(d).to_dict()) == json.dumps(d)
 
 
 # --- value/policy container contracts -----------------------------------------
@@ -385,11 +425,17 @@ def shifted_cutoff(solution, shift):
     line = ValueSegment.linear(q, line.hi, float(arc.value_at(q)) - slope * q, slope)
     top = ValueSegment.slide_arc(top.lo, top.hi, top.level, float(line.value_at(line.hi)),
                                  top.center, top.exponent)
-    regions = solution.policy.regions[:-3] + (
-        PolicyRegion(arc.lo, q, "slide"), PolicyRegion(q, line.hi, "split", q, line.hi),
-        solution.policy.regions[-1])
-    return dataclasses.replace(solution, value=PiecewiseValue(below + (arc, line, top)),
-                               policy=MarkovPolicy(regions, (q,)), cutoffs=(q,))
+    return dataclasses.replace(solution, value=PiecewiseValue(below + (arc, line, top)))
+
+
+def test_replace_rederives_policy(canon_solution, flat_problem):
+    moved = shifted_cutoff(canon_solution, 0.01)
+    q = moved.value.segments[-2].lo
+    assert moved.cutoffs == (q,)
+    assert moved.policy.region_at(q) == PolicyRegion(q, 0.8, "split", q, 0.8)
+    bent = dataclasses.replace(solve(flat_problem),
+                               value=polyline([(0.0, 0.6), (0.5, 0.7), (1.0, 0.7)]))
+    assert [r.action for r in bent.policy.regions] == ["slide", "slide"]
 
 
 @pytest.mark.parametrize("shift, jump", [(0.01, 1.5e-2), (0.03, 5.5e-2)])
