@@ -27,13 +27,15 @@ import numpy as np
 from . import __version__
 from .errors import OracleError, OutOfRange, PersuadeError, ProblemValidationError, SimulationError, SolverError
 from .model import Problem, load_problem
-from .oracle import evaluate_policy_discrete, make_grid, myopic_policy, slide_only_policy, value_iteration
-from .sim import DEFAULT_MAX_TAIL, SimConfig, default_period, simulate, sized_horizon
+from .oracle import (DEFAULT_TOL, evaluate_policy_discrete, make_grid, myopic_policy,
+                     slide_only_policy, value_iteration)
+from .sim import SimConfig, default_period, simulate, sized_horizon
 from .solver import MarkovPolicy, solve
 
 __all__ = ["main", "run"]
 
 _CUTOFF_MATCH_TOL = 1e-12
+_MAX_SAMPLES = 10**7
 
 
 # --- output plumbing ---------------------------------------------------------
@@ -114,6 +116,8 @@ def _region_label(region) -> str:
 def cmd_solve(args) -> int:
     if args.samples < 0:
         raise OutOfRange(f"sample count must be non-negative, got {args.samples}")
+    if args.samples > _MAX_SAMPLES:
+        raise OutOfRange(f"sample count must be at most {_MAX_SAMPLES}, got {args.samples}")
     problem = load_problem(args.config)
     solution = solve(problem)
     cuts = problem.payoff.cuts
@@ -202,8 +206,7 @@ def cmd_simulate(args) -> int:
     delta = args.delta if args.delta is not None else default_period(problem)
     horizon = args.horizon
     if horizon is None:
-        # land the truncation bound at half the simulator's default ceiling
-        horizon = sized_horizon(problem, delta, DEFAULT_MAX_TAIL / 2)
+        horizon = sized_horizon(problem, delta)
     belief = args.belief if args.belief is not None else problem.stationary_belief
     config = SimConfig(delta=delta, horizon=horizon, n_paths=args.paths,
                        seed=args.seed, initial_belief=belief)
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--delta", type=float, default=1e-3, help="period length")
     p.add_argument("--grid-gap", type=float, default=1e-3, help="belief grid spacing")
-    p.add_argument("--tol", type=float, default=1e-6, help="fixed-point tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixed-point tolerance")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="Monte-Carlo run of a policy")
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", type=_delta_list, default=[0.1, 0.03, 0.01, 0.003],
                    help="comma-separated period lengths")
     p.add_argument("--grid-gap", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -47,7 +47,7 @@ class OracleError(PersuadeError):
 
 
 class NoConvergence(OracleError):
-    """Value iteration hit max_iter; .result carries the best iterate."""
+    """Value iteration hit its step limit; .result carries the best iterate."""
 
     def __init__(self, message: str, result=None):
         super().__init__(message)

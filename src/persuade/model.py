@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,6 +110,7 @@ class Discounting:
             raise ProblemValidationError([f"discount rate r must be a finite positive number, got {self.r!r}"])
 
 
+@dataclass(frozen=True, slots=True)
 class StepPayoff:
     """Right-open step payoff with its upper concave envelope.
 
@@ -117,35 +118,29 @@ class StepPayoff:
     with value levels[i], and the last interval is closed at 1.
     """
 
-    __slots__ = ("cuts", "levels", "_starts", "_levels", "_env_x", "_env_y")
+    cuts: tuple[float, ...]
+    levels: tuple[float, ...]
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _levels: np.ndarray = field(init=False, repr=False, compare=False)
+    _env_y: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, cuts, levels):
-        cuts = tuple(float(c) for c in cuts)
-        levels = tuple(float(h) for h in levels)
+    def __post_init__(self) -> None:
+        cuts = tuple(float(c) for c in self.cuts)
+        levels = tuple(float(h) for h in self.levels)
         _check_support(cuts, levels)
         _check_levels(levels)
         _check_envelope(cuts, levels)
-        self.cuts = cuts
-        self.levels = levels
-        self._starts = np.array(cuts[:-1])
-        self._levels = np.array(levels)
-        # Envelope vertices: the (cut, level) points plus a flat extension to 1.
-        self._env_x = np.array(cuts[:-1] + (1.0,))
-        self._env_y = np.array(levels + (levels[-1],))
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "_starts", np.array(cuts[:-1]))
+        object.__setattr__(self, "_levels", np.array(levels))
+        # Envelope vertices: the (cut, level) points, the last cut 1 carrying
+        # the top level as the flat extension.
+        object.__setattr__(self, "_env_y", np.array(levels + (levels[-1],)))
 
     @property
     def n_steps(self) -> int:
         return len(self.levels)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StepPayoff)
-            and self.cuts == other.cuts
-            and self.levels == other.levels
-        )
-
-    def __repr__(self) -> str:
-        return f"StepPayoff(cuts={self.cuts!r}, levels={self.levels!r})"
 
     def value(self, p):
         """u(p) with the closed-left convention; u(1) = top level."""
@@ -160,7 +155,7 @@ class StepPayoff:
     def envelope(self, p):
         """Upper concave envelope of u: the polyline through the (cut, level) points."""
         x, _ = _locate(p)
-        out = np.interp(x, self._env_x, self._env_y)
+        out = np.interp(x, self.cuts, self._env_y)
         return float(out) if isinstance(x, float) else out
 
 

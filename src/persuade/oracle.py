@@ -51,7 +51,8 @@ _HULL_BEND_TOL = 1e-13
 _HULL_PASSES = 16
 _POLICY_RESIDUAL_TOL = 1e-8
 DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 200_000
+#: Value-iteration steps before NoConvergence is raised.
+_MAX_ITER = 200_000
 # A hull-vs-payoff gap above this marks a grid point where the DP strictly
 # prefers splitting; below it the point is treated as a hull contact (slide).
 CONTACT_TOL = 5e-7
@@ -181,8 +182,7 @@ def _bellman_step(pts, u, w, x, beliefs):
 
 
 def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
-                    tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER) -> OracleResult:
+                    tol: float = DEFAULT_TOL) -> OracleResult:
     """Fixed point of the discrete Bellman operator on the grid.
 
     With d = w_n - w_{n-1}, the fixed point lies between
@@ -191,13 +191,12 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
     tol * (1 - x), so the bracket is at most tol * x wide, and returns its
     lower end: within tol * x of the true discrete value and never above it.
     `bound` is the final bracket width; `residual` and `change_history` hold
-    the sup-norm change of the plain iterates.
+    the sup-norm change of the plain iterates.  NoConvergence, carrying the
+    last iterate, is raised after _MAX_ITER steps.
     """
     a, b = drift_map(problem.rates, delta)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRange(f"tolerance must be finite and non-negative, got {tol!r}")
-    if max_iter < 1:
-        raise OutOfRange(f"max_iter must be at least 1, got {max_iter!r}")
     x = _discount_factor(problem, delta)
     pts = grid.points
     u = problem.payoff.value(pts)
@@ -205,7 +204,7 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
     w = np.full(pts.size, float(min(problem.payoff.levels)))
     history: list[float] = []
     threshold = tol * (1.0 - x)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         w_new, _ = _bellman_step(pts, u, w, x, drifted)
         step = w_new - w
         low, high = float(np.min(step)), float(np.max(step))
@@ -215,10 +214,10 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
             scale = x / (1.0 - x)
             return OracleResult(grid, w + scale * low, delta, iteration, history[-1],
                                 np.array(history), scale * (high - low))
-    partial = OracleResult(grid, w, delta, max_iter, history[-1], np.array(history))
+    partial = OracleResult(grid, w, delta, _MAX_ITER, history[-1], np.array(history))
     raise NoConvergence(
         f"value iteration did not reach a change spread of {threshold:.3e} in "
-        f"{max_iter} steps (last spread {high - low:.3e}, last change {history[-1]:.3e})",
+        f"{_MAX_ITER} steps (last spread {high - low:.3e}, last change {history[-1]:.3e})",
         result=partial,
     )
 
@@ -235,10 +234,9 @@ def contact_gap(problem: Problem, result: OracleResult) -> np.ndarray:
     return hull - phi
 
 
-def dp_split_mask(problem: Problem, result: OracleResult,
-                  tol: float = CONTACT_TOL) -> np.ndarray:
+def dp_split_mask(problem: Problem, result: OracleResult) -> np.ndarray:
     """Boolean mask of grid points where the DP strictly prefers splitting."""
-    return contact_gap(problem, result) > tol
+    return contact_gap(problem, result) > CONTACT_TOL
 
 
 def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: float,
@@ -277,12 +275,10 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
         t = (target - pts[j]) / (pts[j + 1] - pts[j])
         cols += [j, j + 1]
         vals += [mass * (1.0 - t), mass * t]
-    # Row-major entries per node: low target's two nodes, then (splits only) high's.
-    keep = np.ones((n, 4), dtype=bool)
-    keep[:, 2:] = split[:, None]
-    rows = np.nonzero(keep)[0]
-    cols = np.column_stack(cols)[keep]
-    vals = np.column_stack(vals)[keep]
+    # Four entries per node, two per target.  A slide's high target is its low
+    # one with zero mass, and the matrix sums duplicate entries away.
+    rows = np.repeat(np.arange(n), 4)
+    cols, vals = np.column_stack(cols).ravel(), np.column_stack(vals).ravel()
     transition = csr_matrix((vals, (rows, cols)), shape=(n, n))
     system = (identity(n, format="csr") - x * transition).tocsc()
     w = spsolve(system, (1.0 - x) * c)
@@ -299,21 +295,13 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
 def myopic_policy(problem: Problem) -> MarkovPolicy:
     """Split to the supporting segment of cav u; slide where u already meets it.
 
-    With strictly increasing levels this splits every interval to its
-    endpoints except the top one, where the payoff is flat and no disclosure
-    helps within the period.
+    Levels strictly increase, so this splits every interval to its endpoints
+    except the top one, where the payoff is flat and no disclosure helps
+    within the period.
     """
     cuts = problem.payoff.cuts
-    levels = problem.payoff.levels
-    regions = []
-    for i in range(problem.payoff.n_steps):
-        lo, hi = cuts[i], cuts[i + 1]
-        next_level = levels[i + 1] if i + 1 < len(levels) else levels[-1]
-        if next_level > levels[i]:
-            regions.append(PolicyRegion(lo, hi, "split", lo, hi))
-        else:
-            regions.append(PolicyRegion(lo, hi, "slide"))
-    return MarkovPolicy(regions)
+    regions = [PolicyRegion(lo, hi, "split", lo, hi) for lo, hi in zip(cuts[:-2], cuts[1:-1])]
+    return MarkovPolicy(regions + [PolicyRegion(cuts[-2], 1.0, "slide")])
 
 
 def slide_only_policy(problem: Problem) -> MarkovPolicy:

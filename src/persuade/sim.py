@@ -12,7 +12,8 @@ Flips and drift follow one law, the chain's exact period embedding
 p -> a + b p (dynamics.drift_map): P(0->1) = a and P(1->0) = 1 - a - b, so
 a path's belief is the exact posterior of its simulated state.
 Period weights (1 - x) x^n, n = 0, 1, ..., sum to one over an infinite
-horizon, so simulated means are directly comparable to the solver's value.
+horizon; a run credits the periods past its horizon at the lowest level, so
+simulated means are directly comparable to the solver's value.
 
 Paths are simulated in chunks of at most _CHUNK paths, split evenly (sizes
 differ by at most one).  Each chunk spawns two children of its own child of
@@ -66,6 +67,10 @@ _N_BINS = 21
 DEFAULT_MAX_TAIL = 0.05
 #: Longest horizon a simulation may run, in periods.
 MAX_HORIZON = 10**7
+#: Most paths one simulation may run.
+MAX_PATHS = 10**7
+# compare_policies' allowance for the period discretization.
+_ALLOWANCE = 0.01
 
 
 def default_period(problem: Problem) -> float:
@@ -80,8 +85,8 @@ def _periods_needed(problem: Problem, delta: float, max_tail: float) -> float:
     return math.log((max(levels) - min(levels)) / max_tail) / rate if rate > 0.0 else math.inf
 
 
-def sized_horizon(problem: Problem, delta: float, max_tail: float) -> int:
-    """Fewest periods whose truncation bound x^horizon * spread is at most max_tail.
+def sized_horizon(problem: Problem, delta: float) -> int:
+    """Fewest periods whose truncation bound x^horizon * spread is at most DEFAULT_MAX_TAIL / 2.
 
     A flat payoff has no truncation error at any horizon; it gets 100 periods.
     Raises OutOfRange when more than MAX_HORIZON periods would be needed.
@@ -91,7 +96,7 @@ def sized_horizon(problem: Problem, delta: float, max_tail: float) -> int:
     levels = problem.payoff.levels
     if max(levels) - min(levels) <= 0.0:
         return 100
-    periods = _periods_needed(problem, delta, max_tail)
+    periods = _periods_needed(problem, delta, DEFAULT_MAX_TAIL / 2)
     if not periods <= MAX_HORIZON:
         raise OutOfRange(f"period length {delta!r} needs a horizon of more than {MAX_HORIZON} periods")
     return math.ceil(max(periods, 1.0))
@@ -112,8 +117,8 @@ class SimConfig:
             raise OutOfRange(f"period length must be positive, got {self.delta!r}")
         if not 1 <= self.horizon <= MAX_HORIZON:
             raise OutOfRange(f"horizon must be 1 to {MAX_HORIZON} periods, got {self.horizon!r}")
-        if self.n_paths < 1:
-            raise OutOfRange(f"need at least one path, got {self.n_paths!r}")
+        if not 1 <= self.n_paths <= MAX_PATHS:
+            raise OutOfRange(f"need 1 to {MAX_PATHS} paths, got {self.n_paths!r}")
         if not (0.0 <= self.initial_belief <= 1.0):
             raise OutOfRange(f"initial belief outside [0, 1]: {self.initial_belief!r}")
 
@@ -156,7 +161,6 @@ class CalibrationBin:
 class SimResult:
     """Aggregates of one simulation run."""
 
-    config: SimConfig
     mean_discounted_payoff: float
     std_error: float
     tail_bound: float
@@ -349,17 +353,19 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
              max_tail: float = DEFAULT_MAX_TAIL) -> SimResult:
     """Run the discrete game under a fixed policy and aggregate path payoffs.
 
-    The truncation error of stopping after `horizon` periods is at most
-    x^horizon times the payoff spread; SimulationError is raised when that
-    bound exceeds max_tail.  With record_trace the first path of the first
-    chunk is kept period by period (columns: period, elapsed time, state,
-    drifted belief, post-message belief).
+    The periods past `horizon` carry weight x^horizon and are credited at the
+    lowest level, so the mean falls short of the infinite-horizon value by at
+    most tail_bound = x^horizon times the payoff spread; SimulationError is
+    raised when that bound exceeds max_tail.  With record_trace the first path
+    of the first chunk is kept period by period (columns: period, elapsed
+    time, state, drifted belief, post-message belief).
     """
     if not max_tail > 0.0:
         raise OutOfRange(f"max_tail must be positive, got {max_tail!r}")
     x = math.exp(-problem.discounting.r * config.delta)
     levels = problem.payoff.levels
-    tail_bound = x ** config.horizon * (max(levels) - min(levels))
+    tail_weight = x ** config.horizon
+    tail_bound = tail_weight * (max(levels) - min(levels))
     if tail_bound > max_tail:
         raise SimulationError(
             f"truncation bound {tail_bound:.3g} exceeds {max_tail}; need a horizon of "
@@ -401,6 +407,8 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
         std_error = math.sqrt(variance / n)
     else:
         std_error = math.nan
+    # The floor is the same on every path, so it moves the mean only.
+    mean += tail_weight * min(levels)
     edges = np.linspace(0.0, 1.0, _N_BINS + 1)
     calibration = tuple(
         CalibrationBin(float(edges[k]), float(edges[k + 1]), int(counts[k]),
@@ -408,7 +416,6 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
         for k in range(_N_BINS)
     )
     return SimResult(
-        config=config,
         mean_discounted_payoff=mean,
         std_error=std_error,
         tail_bound=tail_bound,
@@ -418,20 +425,19 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
 
 
 def compare_policies(problem: Problem, solution: Solution, policies, beliefs,
-                     config: SimConfig, allowance: float = 0.01,
-                     max_tail: float = DEFAULT_MAX_TAIL) -> list[dict]:
+                     config: SimConfig) -> list[dict]:
     """Simulate each policy from each starting belief against the solver value.
 
     Every run reuses the same seed, so policies face identical state paths.
     A row is flagged when its simulated mean exceeds the solver's value by
-    more than three standard errors plus the discretization allowance,
+    more than three standard errors plus _ALLOWANCE for the discretization,
     which would contradict the value function's optimality.
     """
     rows = []
     for name, policy in dict(policies).items():
         for belief in beliefs:
             run_config = replace(config, initial_belief=float(belief))
-            result = simulate(problem, policy, run_config, max_tail=max_tail)
+            result = simulate(problem, policy, run_config)
             solver_value = solution.value.value(float(belief))
             excess = result.mean_discounted_payoff - solver_value
             rows.append({
@@ -441,6 +447,6 @@ def compare_policies(problem: Problem, solution: Solution, policies, beliefs,
                 "std_error": result.std_error,
                 "solver_value": solver_value,
                 "excess": excess,
-                "beats_value": excess > 3.0 * result.std_error + allowance,
+                "beats_value": excess > 3.0 * result.std_error + _ALLOWANCE,
             })
     return rows

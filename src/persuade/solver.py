@@ -59,6 +59,8 @@ __all__ = [
 _CONTINUITY_TOL = 1e-10
 _CONCAVITY_TOL = 1e-8
 _MONOTONE_TOL = 1e-10
+# verify_solution's threshold on the floor, balance, binding and pasting gaps.
+_VERIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,8 +153,6 @@ class PiecewiseValue:
 
     def derivative(self, p, side: str = "right"):
         """One-sided derivative; 'left' picks the earlier segment at junctions."""
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         return self._evaluate(p, side, ValueSegment.derivative_at)
 
     def _evaluate(self, p, side: str, method):
@@ -339,16 +339,12 @@ def _solve_below(problem: Problem, v_at_p0: float):
     return segments[::-1]
 
 
-def _pasting_residual(q, h_j, h_next, v_j, p_j, p_star, mu, p_next):
-    gap = q - p_star
-    decay = ((p_j - p_star) / gap) ** mu
-    return h_j - h_next + (h_j - v_j) * (mu + 1.0) * decay * (p_next - q) / gap
-
-
 def _find_cutoff(p_j, p_next, h_j, h_next, v_j, p_star, mu) -> float:
     """Bisect the pasting residual, decreasing on [p_j, p_next], to adjacent floats."""
     def residual(q):
-        return _pasting_residual(q, h_j, h_next, v_j, p_j, p_star, mu, p_next)
+        gap = q - p_star
+        decay = ((p_j - p_star) / gap) ** mu
+        return h_j - h_next + (h_j - v_j) * (mu + 1.0) * decay * (p_next - q) / gap
 
     f_lo, f_hi = residual(p_j), residual(p_next)
     if not f_lo > 0.0 > f_hi:
@@ -445,8 +441,8 @@ def _residual(problem, value, arr, side):
     return deriv * (arr - p_star) + mu * (value.value(arr) - payoff)
 
 
-def verify_solution(problem: Problem, solution: Solution, n_points: int = 10_000,
-                    tol: float = 1e-8) -> VerificationReport:
+def verify_solution(problem: Problem, solution: Solution,
+                    n_points: int = 10_000) -> VerificationReport:
     """Check the optimality conditions on a dense grid; never raises.
 
     Conditions: value at p* at least the flow there; balance residual
@@ -466,7 +462,7 @@ def verify_solution(problem: Problem, solution: Solution, n_points: int = 10_000
     violations: list[Violation] = []
 
     floor_gap = value.value(p_star) - payoff.value(p_star)
-    if floor_gap < -tol:
+    if floor_gap < -_VERIFY_TOL:
         violations.append(Violation("value_floor", p_star, -floor_gap))
 
     for p, gap in value.junction_gaps():
@@ -485,7 +481,7 @@ def verify_solution(problem: Problem, solution: Solution, n_points: int = 10_000
         keep = np.abs(pts - p_star) > PIN_TOLERANCE
         pts, res = pts[keep], res[keep]
         worst_deficit = max(worst_deficit, -float(res.min(initial=0.0)))
-        for i in np.flatnonzero(res < -tol):
+        for i in np.flatnonzero(res < -_VERIFY_TOL):
             violations.append(Violation(f"balance_{side}", float(pts[i]), float(-res[i])))
 
     binding = [(c, "right") for c in cuts[:-1][:k + 2]]
@@ -496,7 +492,7 @@ def verify_solution(problem: Problem, solution: Solution, n_points: int = 10_000
             continue
         gap = abs(float(_residual(problem, value, np.asarray(p), side)))
         max_binding = max(max_binding, gap)
-        if gap > tol:
+        if gap > _VERIFY_TOL:
             violations.append(Violation("binding", p, gap))
 
     # Concavity and monotonicity along the grid (right derivatives), plus
@@ -523,7 +519,7 @@ def verify_solution(problem: Problem, solution: Solution, n_points: int = 10_000
     for p, condition in smooth:
         jump = abs(value.derivative(p, "left") - value.derivative(p, "right"))
         max_pasting = max(max_pasting, jump)
-        if jump > tol:
+        if jump > _VERIFY_TOL:
             violations.append(Violation(condition, p, jump))
 
     return VerificationReport(

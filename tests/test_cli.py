@@ -312,12 +312,16 @@ def test_bad_period_and_grid_gap_rejected(tmp_path, canon_config, capsys, args, 
     (["simulate", "--horizon", "100000000"],
      "horizon must be 1 to 10000000 periods, got 100000000"),
     (["solve", "--samples", "-1"], "sample count must be non-negative, got -1"),
+    (["solve", "--samples", "1000000000000000000"],
+     "sample count must be at most 10000000, got 1000000000000000000"),
+    (["simulate", "--paths", "10000001"], "need 1 to 10000000 paths, got 10000001"),
     (["oracle", "--delta", "1e-300", "--grid-gap", "0.01"],
      "period length 1e-300 is too short: the discount factor exp(-r delta) rounds to 1"),
     (["sweep", "--deltas", "1e-300", "--grid-gap", "0.01"],
      "period length 1e-300 is too short: the discount factor exp(-r delta) rounds to 1"),
 ], ids=["grid-gap-1e-300", "grid-gap-1e-9", "delta-1e-300", "delta-1e-12", "horizon-1e8",
-        "samples-negative", "oracle-delta-1e-300", "sweep-deltas-1e-300"])
+        "samples-negative", "samples-1e18", "paths-above-1e7", "oracle-delta-1e-300",
+        "sweep-deltas-1e-300"])
 def test_oversized_input_rejected_at_once(tmp_path, canon_config, capsys, args, message):
     out = tmp_path / "out"
     start = time.perf_counter()

@@ -206,6 +206,15 @@ def test_parse_round_trip():
     assert again.discounting.r == prob.discounting.r
 
 
+def test_problem_keys_a_dict():
+    # Equal problems hash alike, so a Problem can key a dict or a cache.
+    cache = {parse_problem(CANON_RAW): "canon"}
+    assert cache[parse_problem(problem_to_dict(parse_problem(CANON_RAW)))] == "canon"
+    assert parse_problem(dict(CANON_RAW, levels=[0.0, 0.5, 0.8, 0.95, 0.99])) not in cache
+    assert repr(parse_problem(CANON_RAW).payoff) == (
+        "StepPayoff(cuts=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0), levels=(0.0, 0.5, 0.8, 0.95, 1.0))")
+
+
 def test_parse_reports_missing_and_unknown_fields():
     raw = dict(CANON_RAW)
     del raw["lambda1"]

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from persuade import oracle
 from persuade.dynamics import drift_map, make_split_signal
 from persuade.errors import NoConvergence, OracleError, OutOfRange
 from persuade.oracle import (
@@ -216,7 +217,7 @@ def test_discount_factor_rounding_to_one_is_out_of_range(canon_problem, canon_so
 
 @pytest.mark.parametrize("kwargs,match", [
     ({"tol": -1.0}, "tolerance"), ({"tol": math.nan}, "tolerance"),
-    ({"tol": math.inf}, "tolerance"), ({"max_iter": 0}, "max_iter"),
+    ({"tol": math.inf}, "tolerance"),
 ])
 def test_value_iteration_rejects_bad_arguments(canon_problem, kwargs, match):
     grid = make_grid(canon_problem, 1e-2)
@@ -244,10 +245,11 @@ def test_value_iteration_bound_is_certified(request, name):
     assert np.all(res.values <= ref.values + 1e-12)
 
 
-def test_no_convergence_carries_partial_result(canon_problem):
+def test_no_convergence_carries_partial_result(canon_problem, monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_ITER", 3)
     grid = make_grid(canon_problem, 1e-2)
     with pytest.raises(NoConvergence) as exc:
-        value_iteration(canon_problem, 0.05, grid, tol=1e-10, max_iter=3)
+        value_iteration(canon_problem, 0.05, grid, tol=1e-10)
     assert exc.value.result is not None
     assert exc.value.result.iterations == 3
     assert exc.value.result.change_history.size == 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -27,6 +28,42 @@ def test_package_root_exports_only_submodule_names():
     exported = set().union(*(importlib.import_module(m).__all__ for m in MODULES[1:]))
     stray = [name for name in persuade.__all__ if name not in exported | {"__version__"}]
     assert not stray, f"persuade.__all__ lists names no submodule exports: {stray}"
+
+
+# Every parameter with a default, over the functions and the public methods of
+# the classes in each submodule's __all__.  A new knob has to be added here.
+KNOBS = {
+    "persuade.solver.PiecewiseValue.derivative": {"side": "right"},
+    "persuade.solver.verify_solution": {"n_points": 10_000},
+    "persuade.oracle.make_grid": {"extra": ()},
+    "persuade.oracle.value_iteration": {"tol": 1e-6},
+    "persuade.sim.simulate": {"record_trace": False, "max_tail": 0.05},
+    "persuade.cli.main": {"argv": None},
+}
+
+
+def _callables(module):
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if inspect.isfunction(obj):
+            yield f"{module}.{name}", obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)   # static and class methods
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{module}.{name}.{attr}", member
+
+
+def test_public_knobs():
+    found = {}
+    for module in MODULES[1:]:
+        for qualname, fn in _callables(module):
+            defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                        if p.default is not inspect.Parameter.empty}
+            if defaults:
+                found[qualname] = defaults
+    assert found == KNOBS
 
 
 def test_import_does_not_load_scipy_sparse():

@@ -36,7 +36,7 @@ def test_default_period_scales_with_rates(canon_problem):
 
 @pytest.mark.parametrize("kwargs", [
     {"delta": 0.0}, {"horizon": 0}, {"n_paths": 0}, {"initial_belief": 1.5},
-    {"initial_belief": -0.1}, {"horizon": 10**7 + 1},
+    {"initial_belief": -0.1}, {"horizon": 10**7 + 1}, {"n_paths": 10**7 + 1},
 ])
 def test_config_validation(kwargs):
     base = {"delta": 0.01, "horizon": 100, "n_paths": 10, "seed": 0,
@@ -47,10 +47,11 @@ def test_config_validation(kwargs):
 
 
 def test_sized_horizon_ceiling(canon_problem):
-    # Canon: spread 1 and r = 1, so the horizon is ceil(ln(20) / delta).
-    assert sized_horizon(canon_problem, 3e-7, 0.05) == 9985775
+    # Canon: spread 1 and r = 1, and the bound lands at 0.05 / 2, so the
+    # horizon is ceil(ln(40) / delta).
+    assert sized_horizon(canon_problem, 3.7e-7) == 9969945
     with pytest.raises(OutOfRange, match="needs a horizon of more than 10000000 periods"):
-        sized_horizon(canon_problem, 2.9e-7, 0.05)
+        sized_horizon(canon_problem, 3.6e-7)
 
 
 def test_horizon_too_short(canon_problem, canon_solution):
@@ -83,8 +84,8 @@ def test_tail_bound_formula(canon_problem, canon_solution):
 def test_flat_payoff_mean_is_deterministic(flat_problem):
     config = SimConfig(delta=0.05, horizon=200, n_paths=50, seed=1, initial_belief=0.3)
     res = simulate(flat_problem, slide_only_policy(flat_problem), config)
-    x = math.exp(-0.05)
-    assert res.mean_discounted_payoff == pytest.approx(0.6 * (1.0 - x ** 200), abs=1e-12)
+    # The periods past the horizon are credited at the lowest level, 0.6.
+    assert res.mean_discounted_payoff == pytest.approx(0.6, abs=1e-12)
     # Identical paths; the variance formula leaves only cancellation noise.
     assert res.std_error <= 1e-7
     assert res.tail_bound == 0.0       # zero payoff spread, truncation is free
@@ -98,6 +99,19 @@ def test_stationary_slide_mean_exact(canon_problem):
     x = math.exp(-0.01)
     assert res.mean_discounted_payoff == pytest.approx(0.8 * (1.0 - x ** 301), abs=1e-12)
     assert res.std_error <= 1e-7
+
+
+def test_shifted_levels_shift_the_mean(canon_problem, canon_solution):
+    # Levels 2h + 5 under the same policy and seed: every path payoff, and
+    # the credit for the periods past the horizon, map by the same affine law.
+    shifted = parse_problem(dict(CANON_RAW, levels=[2.0 * h + 5.0 for h in CANON_RAW["levels"]]))
+    config = SimConfig(delta=0.01, horizon=400, n_paths=3000, seed=5, initial_belief=0.3)
+    base = simulate(canon_problem, canon_solution.policy, config)
+    res = simulate(shifted, canon_solution.policy, config)
+    assert res.mean_discounted_payoff == pytest.approx(2.0 * base.mean_discounted_payoff + 5.0,
+                                                       rel=0.0, abs=1e-12)
+    assert res.std_error == pytest.approx(2.0 * base.std_error, rel=1e-12)
+    assert res.tail_bound == 2.0 * base.tail_bound
 
 
 def test_single_path_has_no_std_error(flat_problem):
