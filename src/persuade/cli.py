@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation, 3 file system, 4 solver, 5 oracle,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import io
@@ -36,6 +37,13 @@ __all__ = ["main", "run"]
 
 _CUTOFF_MATCH_TOL = 1e-12
 _MAX_SAMPLES = 10**7
+# (error class, stderr prefix, exit code): the first class an error is an instance of wins.
+_EXITS = (
+    (SolverError, "solver error", 4),
+    (OracleError, "oracle error", 5),
+    (SimulationError, "simulation error", 6),
+    (PersuadeError, "error", 2),
+)
 
 
 # --- output plumbing ---------------------------------------------------------
@@ -107,12 +115,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _region_label(region) -> str:
-    if region.action == "slide":
-        return "slide"
-    return f"split:{region.low_target!r}:{region.high_target!r}"
-
-
 def cmd_solve(args) -> int:
     if args.samples < 0:
         raise OutOfRange(f"sample count must be non-negative, got {args.samples}")
@@ -127,9 +129,9 @@ def cmd_solve(args) -> int:
         np.array(solution.cutoffs, dtype=float),
     ]))
     value = solution.value
+    lows, highs = solution.policy.targets(pts)
     rows = []
-    for p in pts:
-        p = float(p)
+    for p, low, high in zip(pts.tolist(), lows.tolist(), highs.tolist()):
         side = "left" if p == 1.0 else "right"
         is_cutoff = any(abs(p - q) <= _CUTOFF_MATCH_TOL for q in solution.cutoffs)
         rows.append((
@@ -138,7 +140,7 @@ def cmd_solve(args) -> int:
             float(problem.payoff.envelope(p)),
             value.value(p),
             value.derivative(p, side=side),
-            _region_label(solution.policy.region_at(p)),
+            f"split:{low!r}:{high!r}" if low < high else "slide",
             is_cutoff,
         ))
     header = ["belief", "u", "cav_u", "v", "v_prime", "region", "is_cutoff"]
@@ -216,13 +218,7 @@ def cmd_simulate(args) -> int:
         "mean_discounted_payoff": result.mean_discounted_payoff,
         "std_error": result.std_error,
         "tail_bound": result.tail_bound,
-        "config": {
-            "delta": config.delta,
-            "horizon": config.horizon,
-            "n_paths": config.n_paths,
-            "seed": config.seed,
-            "initial_belief": config.initial_belief,
-        },
+        "config": dataclasses.asdict(config),
         "calibration": [
             {"lo": b.lo, "hi": b.hi, "center": b.center, "count": b.count,
              "state_one": b.state_one, "frequency": b.frequency,
@@ -329,22 +325,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemValidationError,) as exc:
-        for line in exc.problems:
-            print(f"error: {line}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 4
-    except OracleError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return 5
-    except SimulationError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return 6
     except PersuadeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        prefix, code = next((prefix, code) for cls, prefix, code in _EXITS if isinstance(exc, cls))
+        for line in getattr(exc, "problems", [str(exc)]):
+            print(f"{prefix}: {line}", file=sys.stderr)
+        return code
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 3

@@ -1,12 +1,11 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by the library derives from :class:`PersuadeError`.  Each
-class below it stands for one CLI exit code, so the CLI maps a failure to its
-code by class alone: ProblemValidationError (which lists its problems) and
-OutOfRange give 2, SolverError 4, OracleError 5 and SimulationError 6.  A
-raise site says what went wrong in its message, not by a subclass.
-NoConvergence is the only subclass: an OracleError that also carries the best
-iterate.
+class below it stands for one CLI exit code, and the CLI maps a failure to its
+stderr prefix and code by class alone, from the table `persuade.cli._EXITS`.
+ProblemValidationError lists its problems, one stderr line each.  A raise
+site says what went wrong in its message, not by a subclass.  NoConvergence
+is the only subclass: an OracleError that also carries the best iterate.
 """
 
 from __future__ import annotations

@@ -259,14 +259,8 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
     pts = grid.points
     n = pts.size
     drifted = a + b * pts
-    targets = np.array([(r.low_target, r.high_target) if r.action == "split"
-                        else (math.nan, math.nan) for r in policy.regions])
-    targets = targets[policy.region_index(drifted)]
-    # No make_split_signal check can fail: drift stays in (0, 1), targets bracket it.
-    split = ~np.isnan(targets[:, 0])
-    lo = np.where(split, targets[:, 0], drifted)
-    hi = np.where(split, targets[:, 1], drifted)
-    rho = (drifted - lo) / np.where(split, hi - lo, 1.0)
+    lo, hi = policy.targets(drifted)
+    rho = (drifted - lo) / np.where(hi > lo, hi - lo, 1.0)
     c = (1.0 - rho) * problem.payoff.value(lo) + rho * problem.payoff.value(hi)
 
     cols, vals = [], []

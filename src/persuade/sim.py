@@ -121,6 +121,8 @@ class SimConfig:
             raise OutOfRange(f"need 1 to {MAX_PATHS} paths, got {self.n_paths!r}")
         if not (0.0 <= self.initial_belief <= 1.0):
             raise OutOfRange(f"initial belief outside [0, 1]: {self.initial_belief!r}")
+        if not self.seed >= 0:
+            raise OutOfRange(f"seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +167,6 @@ class SimResult:
     std_error: float
     tail_bound: float
     calibration: tuple[CalibrationBin, ...]
-    trace: np.ndarray | None = None
 
 
 def _thread_count() -> int:
@@ -210,12 +211,11 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
 
     Drift is iterated exactly as a path would iterate it, so table beliefs
     are the beliefs a per-path float simulation would hold, bit for bit.
-    The policy's region lookup range-checks every chain and the split signal
+    The policy's target lookup range-checks every chain and the split signal
     every target, so a policy that moves the belief outside [0, 1] raises
     OutOfRange here, before any path is drawn.
     """
     drift0, drift_slope = drift_map(problem.rates, config.delta)
-    is_split = np.array([region.action == "split" for region in policy.regions])
     chains: dict[float, list[float]] = {}
     signals: dict[float, SplitSignal] = {}
     pending = [float(config.initial_belief)]
@@ -226,14 +226,12 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
         chain = [atom]
         for _ in range(config.horizon):
             chain.append(drift0 + drift_slope * chain[-1])
-        regions = policy.region_index(np.array(chain))
-        hits = np.flatnonzero(is_split[regions[1:]])
+        low, high = policy.targets(np.array(chain))
+        hits = np.flatnonzero(high[1:] > low[1:])
         if hits.size:
             stop = int(hits[0]) + 1
             del chain[stop + 1:]
-            region = policy.regions[regions[stop]]
-            signal = make_split_signal(chain[stop], float(region.low_target),
-                                       float(region.high_target))
+            signal = make_split_signal(chain[stop], float(low[stop]), float(high[stop]))
             signals[atom] = signal
             pending += [signal.low_target, signal.high_target]
         chains[atom] = chain
@@ -300,7 +298,7 @@ def _flip_schedule(rng, state, next_flip, log_stay, first, stop, horizon):
                     np.searchsorted(periods[order], np.arange(first + 1, stop)))
 
 
-def _run_chunk(table, config, n_paths, seed_seq, weights, want_trace):
+def _run_chunk(table, config, n_paths, seed_seq, weights):
     """Simulate one chunk; returns payoff sums and occupancy[cur], the periods ended at cur."""
     state_seq, message_seq = seed_seq.spawn(2)
     state_rng = np.random.Generator(np.random.PCG64(state_seq))
@@ -314,7 +312,6 @@ def _run_chunk(table, config, n_paths, seed_seq, weights, want_trace):
     draws = np.empty(n_paths)
     totals = np.zeros(n_paths)
     occupancy = np.zeros(table.next_cur.size, dtype=np.int64)
-    trace = np.empty((horizon, 5)) if want_trace else None
 
     for first in range(0, horizon, _FLIP_BLOCK):
         stop = min(first + _FLIP_BLOCK, horizon)
@@ -322,15 +319,11 @@ def _run_chunk(table, config, n_paths, seed_seq, weights, want_trace):
         for n, flipping in enumerate(schedule, start=first):
             cur[flipping] ^= 2
             message_rng.random(out=draws)
-            drifted = table.belief[(cur[0] >> 2) + 1] if want_trace else 0.0
             cur = np.take(table.next_cur, cur + (draws < np.take(table.p_high, cur)))
             totals += weights[n] * np.take(table.level, cur)
             np.add.at(occupancy, cur, 1)
-            if want_trace:
-                trace[n] = (n, (n + 1) * config.delta, cur[0] >> 1 & 1, drifted,
-                            table.belief[cur[0] >> 2])
 
-    return float(np.sum(totals)), float(np.sum(totals * totals)), occupancy, trace
+    return float(np.sum(totals)), float(np.sum(totals * totals)), occupancy
 
 
 def _exact_bin_sums(values: np.ndarray, counts: np.ndarray, bins: np.ndarray) -> list[float]:
@@ -349,16 +342,13 @@ def _exact_bin_sums(values: np.ndarray, counts: np.ndarray, bins: np.ndarray) ->
 
 
 def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
-             record_trace: bool = False,
              max_tail: float = DEFAULT_MAX_TAIL) -> SimResult:
     """Run the discrete game under a fixed policy and aggregate path payoffs.
 
     The periods past `horizon` carry weight x^horizon and are credited at the
     lowest level, so the mean falls short of the infinite-horizon value by at
     most tail_bound = x^horizon times the payoff spread; SimulationError is
-    raised when that bound exceeds max_tail.  With record_trace the first path
-    of the first chunk is kept period by period (columns: period, elapsed
-    time, state, drifted belief, post-message belief).
+    raised when that bound exceeds max_tail.
     """
     if not max_tail > 0.0:
         raise OutOfRange(f"max_tail must be positive, got {max_tail!r}")
@@ -382,8 +372,7 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     table = _belief_table(problem, policy, config)
 
     def job(i: int):
-        return _run_chunk(table, config, sizes[i], children[i], weights,
-                          record_trace and i == 0)
+        return _run_chunk(table, config, sizes[i], children[i], weights)
 
     threads = min(_thread_count(), n_chunks)
     if threads > 1:
@@ -420,7 +409,6 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
         std_error=std_error,
         tail_bound=tail_bound,
         calibration=calibration,
-        trace=outputs[0][3],
     )
 
 

@@ -252,6 +252,17 @@ class MarkovPolicy:
     def region_at(self, p: float) -> PolicyRegion:
         return self.regions[self.region_index(p)]
 
+    def targets(self, p):
+        """Split targets (low, high) per belief, and (p, p) where the policy slides.
+
+        Region validation makes low < high wherever the policy splits.
+        """
+        idx = self.region_index(p)
+        low, high = np.array([(r.low_target, r.high_target) if r.action == "split"
+                              else (np.nan, np.nan) for r in self.regions])[idx].T
+        x = np.asarray(p, dtype=float)
+        return np.where(np.isnan(low), x, low), np.where(np.isnan(high), x, high)
+
     @staticmethod
     def from_dict(d: dict) -> "MarkovPolicy":
         return MarkovPolicy(PolicyRegion.from_dict(r) for r in d["regions"])

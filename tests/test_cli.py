@@ -9,7 +9,10 @@ import warnings
 
 import pytest
 
+from persuade import cli
 from persuade.cli import main
+from persuade.errors import (NoConvergence, OracleError, OutOfRange, PersuadeError,
+                             ProblemValidationError, SimulationError, SolverError)
 
 from conftest import CANON_RAW, FLAT_RAW, SINGLE_DISC_RAW, canon_variant
 
@@ -315,13 +318,14 @@ def test_bad_period_and_grid_gap_rejected(tmp_path, canon_config, capsys, args, 
     (["solve", "--samples", "1000000000000000000"],
      "sample count must be at most 10000000, got 1000000000000000000"),
     (["simulate", "--paths", "10000001"], "need 1 to 10000000 paths, got 10000001"),
+    (["simulate", "--seed", "-1"], "seed must be non-negative, got -1"),
     (["oracle", "--delta", "1e-300", "--grid-gap", "0.01"],
      "period length 1e-300 is too short: the discount factor exp(-r delta) rounds to 1"),
     (["sweep", "--deltas", "1e-300", "--grid-gap", "0.01"],
      "period length 1e-300 is too short: the discount factor exp(-r delta) rounds to 1"),
 ], ids=["grid-gap-1e-300", "grid-gap-1e-9", "delta-1e-300", "delta-1e-12", "horizon-1e8",
-        "samples-negative", "samples-1e18", "paths-above-1e7", "oracle-delta-1e-300",
-        "sweep-deltas-1e-300"])
+        "samples-negative", "samples-1e18", "paths-above-1e7", "seed-negative",
+        "oracle-delta-1e-300", "sweep-deltas-1e-300"])
 def test_oversized_input_rejected_at_once(tmp_path, canon_config, capsys, args, message):
     out = tmp_path / "out"
     start = time.perf_counter()
@@ -343,6 +347,30 @@ def test_short_explicit_horizon_names_needed_horizon_briefly(tmp_path, canon_con
         "simulation error: truncation bound 1 exceeds 0.05; need a horizon of about "
         "3e+12 periods"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error, lines, code", [
+    (ProblemValidationError(["first problem", "second problem"]),
+     ["error: first problem", "error: second problem"], 2),
+    (OutOfRange("belief outside [0, 1]: 1.5"), ["error: belief outside [0, 1]: 1.5"], 2),
+    (PersuadeError("plain"), ["error: plain"], 2),
+    (SolverError("no cutoff"), ["solver error: no cutoff"], 4),
+    (OracleError("grid too coarse"), ["oracle error: grid too coarse"], 5),
+    (NoConvergence("no fixed point", result=None), ["oracle error: no fixed point"], 5),
+    (SimulationError("horizon too short"), ["simulation error: horizon too short"], 6),
+    (OSError(2, "No such file or directory"),
+     ["file error: [Errno 2] No such file or directory"], 3),
+], ids=["validation", "out-of-range", "persuade", "solver", "oracle", "no-convergence",
+        "simulation", "os"])
+def test_exit_table(canon_config, capsys, monkeypatch, error, lines, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert main(["validate", "--config", canon_config]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == lines
+    assert captured.out == ""
 
 
 # --- sweep --------------------------------------------------------------------

@@ -134,6 +134,7 @@ LOOKUPS = {
     "value.derivative": lambda prob, sol: sol.value.derivative,
     "policy.region_index": lambda prob, sol: sol.policy.region_index,
     "policy.region_at": lambda prob, sol: sol.policy.region_at,
+    "policy.targets": lambda prob, sol: sol.policy.targets,
     "oracle.value": lambda prob, sol: _oracle_result(prob).value,
 }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -37,7 +38,7 @@ KNOBS = {
     "persuade.solver.verify_solution": {"n_points": 10_000},
     "persuade.oracle.make_grid": {"extra": ()},
     "persuade.oracle.value_iteration": {"tol": 1e-6},
-    "persuade.sim.simulate": {"record_trace": False, "max_tail": 0.05},
+    "persuade.sim.simulate": {"max_tail": 0.05},
     "persuade.cli.main": {"argv": None},
 }
 
@@ -75,3 +76,32 @@ def test_import_does_not_load_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_installs_and_restores():
+    # perfbench/run.py --trace wraps named functions and methods of the
+    # package; a rename or a method moved off its class breaks the traced
+    # benchmark runs, so install and uninstall the tracer here.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = [importlib.import_module(m) for m in MODULES]
+    before = {mod.__name__: dict(vars(mod)) for mod in modules}
+    classes = {(module, cls, attr): vars(getattr(sys.modules[module], cls))[attr]
+               for module, cls, attr, _ in tracing.METHODS}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for module, attr, _, _ in tracing.FUNCTIONS:
+            assert getattr(sys.modules[module], attr) is not before[module][attr], attr
+        for (module, cls, attr), original in classes.items():
+            assert vars(getattr(sys.modules[module], cls))[attr] is not original, attr
+    finally:
+        tracer.uninstall()
+    for mod in modules:
+        changed = [key for key, value in before[mod.__name__].items() if vars(mod)[key] is not value]
+        assert not changed, f"{mod.__name__} still holds wrappers for {changed}"
+    for (module, cls, attr), original in classes.items():
+        assert vars(getattr(sys.modules[module], cls))[attr] is original, attr

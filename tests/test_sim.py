@@ -6,6 +6,7 @@ import json
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ def test_default_period_scales_with_rates(canon_problem):
 @pytest.mark.parametrize("kwargs", [
     {"delta": 0.0}, {"horizon": 0}, {"n_paths": 0}, {"initial_belief": 1.5},
     {"initial_belief": -0.1}, {"horizon": 10**7 + 1}, {"n_paths": 10**7 + 1},
+    {"seed": -1},
 ])
 def test_config_validation(kwargs):
     base = {"delta": 0.01, "horizon": 100, "n_paths": 10, "seed": 0,
@@ -157,11 +159,11 @@ def _reference_states(problem, config, state_rng):
 def _float_loop_reference(problem, policy, config):
     """One chunk simulated with a float belief per path, region by region.
 
-    Returns per-path discounted totals, the calibration tallies and the trace
-    of the first path, for an exact comparison with simulate().  States come
-    from the chunk's state generator, messages from its message generator,
-    one uniform per path and period.  Each bin's belief sum is summed exactly
-    over (belief, visit count) pairs and rounded once.
+    Returns per-path discounted totals and the calibration tallies, for an
+    exact comparison with simulate().  States come from the chunk's state
+    generator, messages from its message generator, one uniform per path and
+    period.  Each bin's belief sum is summed exactly over (belief, visit
+    count) pairs and rounded once.
     """
     n_paths, horizon = config.n_paths, config.horizon
     seed_seq = np.random.SeedSequence(config.seed).spawn(1)[0]
@@ -178,12 +180,10 @@ def _float_loop_reference(problem, policy, config):
     counts = np.zeros(n_bins, dtype=np.int64)
     state_one = np.zeros(n_bins, dtype=np.int64)
     visits = Counter()
-    trace = np.empty((horizon, 5))
     for n in range(horizon):
         message_draw = message_rng.random(n_paths)
         state = states[n]
         belief = drift0 + drift_slope * belief
-        drifted = belief[0]
         region_idx = policy.region_index(belief)
         for k, region in enumerate(policy.regions):
             mask = region_idx == k
@@ -200,22 +200,20 @@ def _float_loop_reference(problem, policy, config):
         counts += np.bincount(bins, minlength=n_bins)
         state_one += np.bincount(bins[state], minlength=n_bins)
         visits.update(dict(zip(*np.unique(belief, return_counts=True))))
-        trace[n] = (n, (n + 1) * config.delta, float(state[0]), drifted, belief[0])
     exact = [Fraction(0)] * n_bins
     for b, c in visits.items():
         exact[min(int(b * n_bins), n_bins - 1)] += Fraction(b) * int(c)
     belief_sum = np.array([float(total) for total in exact])
-    return totals, counts, state_one, belief_sum, trace
+    return totals, counts, state_one, belief_sum
 
 
 def _assert_matches_float_loop(problem, policy, config, max_tail=sim.DEFAULT_MAX_TAIL):
-    res = simulate(problem, policy, config, record_trace=True, max_tail=max_tail)
-    totals, counts, state_one, belief_sum, trace = _float_loop_reference(problem, policy, config)
+    res = simulate(problem, policy, config, max_tail=max_tail)
+    totals, counts, state_one, belief_sum = _float_loop_reference(problem, policy, config)
     assert res.mean_discounted_payoff == float(np.sum(totals)) / config.n_paths
     assert [b.count for b in res.calibration] == counts.tolist()
     assert [b.state_one for b in res.calibration] == state_one.tolist()
     assert [b.belief_sum for b in res.calibration] == belief_sum.tolist()
-    np.testing.assert_array_equal(res.trace, trace)
 
 
 @pytest.mark.parametrize("case,p0", [
@@ -266,12 +264,11 @@ def test_split_target_outside_unit_interval_raises(canon_problem, regions, p0):
 
 def test_same_seed_bit_identical(canon_problem, canon_solution):
     config = SimConfig(delta=0.01, horizon=400, n_paths=5000, seed=11, initial_belief=0.4)
-    a = simulate(canon_problem, canon_solution.policy, config, record_trace=True)
-    b = simulate(canon_problem, canon_solution.policy, config, record_trace=True)
+    a = simulate(canon_problem, canon_solution.policy, config)
+    b = simulate(canon_problem, canon_solution.policy, config)
     assert a.mean_discounted_payoff == b.mean_discounted_payoff
     assert a.std_error == b.std_error
     assert a.calibration == b.calibration
-    np.testing.assert_array_equal(a.trace, b.trace)
 
 
 def test_thread_count_does_not_change_results(canon_problem, canon_solution, monkeypatch):
@@ -315,11 +312,9 @@ def test_policies_share_state_paths(canon_problem, canon_solution, monkeypatch):
     # Common random numbers: the state draws do not depend on the policy.
     monkeypatch.setattr(sim, "_CHUNK", 4096)
     config = SimConfig(delta=0.01, horizon=300, n_paths=9000, seed=23, initial_belief=0.4)
-    runs = [simulate(canon_problem, policy, config, record_trace=True)
+    runs = [simulate(canon_problem, policy, config)
             for policy in (canon_solution.policy, myopic_policy(canon_problem),
                            slide_only_policy(canon_problem))]
-    for res in runs[1:]:
-        np.testing.assert_array_equal(res.trace[:, 2], runs[0].trace[:, 2])
     ones = [sum(b.state_one for b in res.calibration) for res in runs]
     assert ones == [ones[0]] * 3
     # Silence visits other beliefs than sigma_star, yet the states agree.
@@ -381,11 +376,12 @@ def test_vanishing_rates_never_flip(rate):
     # time exceeds the horizon and is capped before it is added.
     problem = parse_problem(dict(CANON_RAW, lambda0=rate, lambda1=rate))
     config = SimConfig(delta=0.01, horizon=400, n_paths=1000, seed=3, initial_belief=0.5)
-    res = simulate(problem, slide_only_policy(problem), config, record_trace=True)
+    res = simulate(problem, slide_only_policy(problem), config)
     ones = sum(b.state_one for b in res.calibration)
     # Every path spends all or none of its periods in state 1.
     assert ones % 400 == 0 and 0 < ones < 1000 * 400
-    assert len(set(res.trace[:, 2])) == 1
+    single = simulate(problem, slide_only_policy(problem), replace(config, n_paths=1))
+    assert sum(b.state_one for b in single.calibration) in (0, 400)
 
 
 def test_calibration_bins_match_beliefs(canon_problem, canon_solution):
@@ -444,26 +440,6 @@ def test_compare_policies_optimal_within_noise(canon_problem, canon_solution):
 def test_compare_policies_empty_input(canon_problem, canon_solution):
     config = SimConfig(delta=0.01, horizon=400, n_paths=10, seed=0, initial_belief=0.5)
     assert compare_policies(canon_problem, canon_solution, {}, [0.5], config) == []
-
-
-# --- trace --------------------------------------------------------------------
-
-def test_trace_shape_and_columns(canon_problem, canon_solution):
-    config = SimConfig(delta=0.02, horizon=160, n_paths=8, seed=21, initial_belief=0.35)
-    res = simulate(canon_problem, canon_solution.policy, config, record_trace=True)
-    assert res.trace is not None
-    assert res.trace.shape == (160, 5)
-    np.testing.assert_array_equal(res.trace[:, 0], np.arange(160))
-    np.testing.assert_allclose(res.trace[:, 1], 0.02 * np.arange(1, 161), atol=1e-15)
-    assert set(np.unique(res.trace[:, 2])) <= {0.0, 1.0}
-    assert np.all((res.trace[:, 3] >= 0.0) & (res.trace[:, 3] <= 1.0))
-    assert np.all((res.trace[:, 4] >= 0.0) & (res.trace[:, 4] <= 1.0))
-
-
-def test_trace_absent_by_default(flat_problem):
-    config = SimConfig(delta=0.05, horizon=100, n_paths=4, seed=0, initial_belief=0.5)
-    res = simulate(flat_problem, slide_only_policy(flat_problem), config)
-    assert res.trace is None
 
 
 # --- cross-checks against the solved value ------------------------------------

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from persuade.dynamics import discounted_time_split
 from persuade.errors import ProblemValidationError, SolverError
 from persuade.model import parse_problem
+from persuade.oracle import full_disclosure_policy, myopic_policy, slide_only_policy
 from persuade.solver import (
     MarkovPolicy,
     PiecewiseValue,
@@ -356,6 +357,40 @@ def test_policy_region_lookup(canon_solution):
     assert pol.region_at(1.0).action == "slide"
     idx = pol.region_index(np.array([0.0, 0.2 - 1e-12, 0.2, q, 1.0]))
     np.testing.assert_array_equal(idx, [0, 0, 1, 4, 5])
+
+
+OFF_GRID_POLICY = {"regions": [
+    {"lo": 0.0, "hi": 0.0123456, "action": "slide"},
+    {"lo": 0.0123456, "hi": 0.45, "action": "split", "targets": [0.0123456, 0.4567891]},
+    {"lo": 0.45, "hi": 0.7, "action": "slide"},
+    {"lo": 0.7, "hi": 1.0, "action": "split", "targets": [0.6543211, 1.0]},
+]}
+
+POLICIES = {
+    "sigma_star-canon": lambda: solve(parse_problem(CANON_RAW)).policy,
+    "sigma_star-pinned": lambda: solve(parse_problem(PINNED_RAW)).policy,
+    "sigma_star-top-interval": lambda: solve(parse_problem(TOP_INTERVAL_RAW)).policy,
+    "myopic": lambda: myopic_policy(parse_problem(CANON_RAW)),
+    "slide_only": lambda: slide_only_policy(parse_problem(CANON_RAW)),
+    "full_disclosure": lambda: full_disclosure_policy(parse_problem(CANON_RAW)),
+    "from_dict": lambda: MarkovPolicy.from_dict(OFF_GRID_POLICY),
+}
+
+
+@pytest.mark.parametrize("name", list(POLICIES))
+def test_policy_targets_match_regions(name):
+    # A split region's targets wherever the policy splits, the belief itself
+    # where it slides: on a dense grid, at every region boundary and at 1.
+    policy = POLICIES[name]()
+    ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 2001),
+                                   [r.lo for r in policy.regions],
+                                   [r.hi for r in policy.regions]]))
+    low, high = policy.targets(ps)
+    for p, lo, hi in zip(ps.tolist(), low.tolist(), high.tolist()):
+        region = policy.regions[policy.region_index(p)]
+        want = (region.low_target, region.high_target) if region.action == "split" else (p, p)
+        assert (lo, hi) == want, p
+        assert tuple(map(float, policy.targets(p))) == want, p
 
 
 def test_segment_slide_arc_needs_positive_gap():
