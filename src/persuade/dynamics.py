@@ -66,6 +66,20 @@ def drift_map(rates: MarkovRates, delta: float) -> tuple[float, float]:
     return a, (1.0 - (1.0 - p_star) * mix) - a
 
 
+def _discount_factor(problem: Problem, delta: float) -> float:
+    """Per-period discount factor x = e^{-r delta}; OutOfRange when it rounds to 1.
+
+    At x = 1 the period payoff weight 1 - x is zero: value iteration and the
+    policy's linear system have no unique solution, and no horizon bounds a
+    simulation's truncation.
+    """
+    x = math.exp(-problem.discounting.r * delta)
+    if x == 1.0:
+        raise OutOfRange(f"period length {delta!r} is too short: the discount factor "
+                         "exp(-r delta) rounds to 1")
+    return x
+
+
 @dataclass(frozen=True, slots=True)
 class SplitSignal:
     """Binary Bayes-plausible split of prior into {low_target, high_target}."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NoConvergence, OracleError, OutOfRange
 from .model import Problem, _locate
-from .dynamics import drift_map
+from .dynamics import _discount_factor, drift_map
 from .solver import MarkovPolicy, PolicyRegion
 
 __all__ = [
@@ -56,19 +56,6 @@ _MAX_ITER = 200_000
 # A hull-vs-payoff gap above this marks a grid point where the DP strictly
 # prefers splitting; below it the point is treated as a hull contact (slide).
 CONTACT_TOL = 5e-7
-
-
-def _discount_factor(problem: Problem, delta: float) -> float:
-    """Per-period discount factor x = e^{-r delta}; OutOfRange when it rounds to 1.
-
-    At x = 1 the period payoff weight 1 - x is zero and neither value
-    iteration nor the policy's linear system has a unique solution.
-    """
-    x = math.exp(-problem.discounting.r * delta)
-    if x == 1.0:
-        raise OutOfRange(f"period length {delta!r} is too short: the discount factor "
-                         "exp(-r delta) rounds to 1")
-    return x
 
 
 class BeliefGrid:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import OutOfRange, SimulationError
 from .model import Problem
-from .dynamics import SplitSignal, drift_map, make_split_signal
+from .dynamics import SplitSignal, _discount_factor, drift_map, make_split_signal
 from .solver import MarkovPolicy, Solution
 
 __all__ = [
@@ -352,7 +352,7 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     """
     if not max_tail > 0.0:
         raise OutOfRange(f"max_tail must be positive, got {max_tail!r}")
-    x = math.exp(-problem.discounting.r * config.delta)
+    x = _discount_factor(problem, config.delta)
     levels = problem.payoff.levels
     tail_weight = x ** config.horizon
     tail_bound = tail_weight * (max(levels) - min(levels))

@@ -249,9 +249,6 @@ class MarkovPolicy:
         """Region index per belief; the final region is closed at 1."""
         return _locate(p, self._starts)[1]
 
-    def region_at(self, p: float) -> PolicyRegion:
-        return self.regions[self.region_index(p)]
-
     def targets(self, p):
         """Split targets (low, high) per belief, and (p, p) where the policy slides.
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
 import time
 import warnings
 
@@ -59,6 +61,17 @@ def test_validate_rejects_garbage_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document, line", [
+    ([1, 2], "problem document must be a JSON object, got list"),
+    (dict(CANON_RAW, cuts="abc"), "field 'cuts' must be a list of finite numbers"),
+], ids=["array", "string-cuts"])
+def test_validate_rejects_malformed_document(tmp_path, capsys, document, line):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 3
     assert "file error" in capsys.readouterr().err
@@ -99,6 +112,28 @@ def test_solve_outputs_byte_identical_across_reruns(tmp_path, canon_config):
     assert main(["solve", "--config", canon_config, "--out", str(out)]) == 0
     assert out.read_bytes() == first_csv
     assert (tmp_path / "sol.json").read_bytes() == first_json
+
+
+def test_solve_json_beside_non_csv_table(tmp_path, canon_config):
+    out = tmp_path / "table.txt"
+    assert main(["solve", "--config", canon_config, "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "table.txt.json").read_text())["cutoffs"]
+    assert (tmp_path / "table.txt.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_named_in_one_line(tmp_path, canon_config, capsys, target):
+    # The failed write names the requested path, never the temp file beside it.
+    if target == "directory":
+        out, code = tmp_path / "out", errno.EISDIR
+        out.mkdir()
+    else:
+        out, code = tmp_path / "missing" / "sol.csv", errno.ENOENT
+    expected = [f"file error: [Errno {code}] {os.strerror(code)}: {str(out)!r}"]
+    for _ in range(2):
+        assert main(["solve", "--config", canon_config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == expected
+    assert not list(tmp_path.rglob(".persuade-tmp-*"))
 
 
 def test_solve_flat_all_constant(tmp_path):
@@ -245,6 +280,22 @@ def test_simulate_malformed_policy_file(tmp_path, canon_config, capsys, policy):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("regions, line", [
+    ([], "policy has no regions"),
+    ([{"lo": 0.1, "hi": 1, "action": "slide"}], "first region starts at 0.1, not 0"),
+], ids=["empty", "starts-above-0"])
+def test_simulate_policy_file_must_cover_unit_interval(tmp_path, canon_config, capsys,
+                                                       regions, line):
+    bad = tmp_path / "policy.json"
+    bad.write_text(json.dumps({"regions": regions}))
+    out = tmp_path / "sim.json"
+    code = main(["simulate", "--config", canon_config, "--out", str(out),
+                 "--policy", str(bad), "--paths", "10"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert not out.exists()
+
+
 # --- exit codes of the solver and oracle families ------------------------------
 
 def test_solver_failure_exit_code(tmp_path, capsys):
@@ -323,9 +374,11 @@ def test_bad_period_and_grid_gap_rejected(tmp_path, canon_config, capsys, args, 
      "period length 1e-300 is too short: the discount factor exp(-r delta) rounds to 1"),
     (["sweep", "--deltas", "1e-300", "--grid-gap", "0.01"],
      "period length 1e-300 is too short: the discount factor exp(-r delta) rounds to 1"),
+    (["simulate", "--delta", "1e-300", "--horizon", "5", "--paths", "10"],
+     "period length 1e-300 is too short: the discount factor exp(-r delta) rounds to 1"),
 ], ids=["grid-gap-1e-300", "grid-gap-1e-9", "delta-1e-300", "delta-1e-12", "horizon-1e8",
         "samples-negative", "samples-1e18", "paths-above-1e7", "seed-negative",
-        "oracle-delta-1e-300", "sweep-deltas-1e-300"])
+        "oracle-delta-1e-300", "sweep-deltas-1e-300", "simulate-delta-1e-300-horizon"])
 def test_oversized_input_rejected_at_once(tmp_path, canon_config, capsys, args, message):
     out = tmp_path / "out"
     start = time.perf_counter()
@@ -402,3 +455,11 @@ def test_sweep_rejects_empty_delta_list(tmp_path, canon_config):
     with pytest.raises(SystemExit):
         main(["sweep", "--config", canon_config, "--out", str(tmp_path / "s.csv"),
               "--deltas", ","])
+
+
+def test_sweep_rejects_unparsable_delta_list(tmp_path, canon_config, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", canon_config, "--out", str(tmp_path / "s.csv"),
+              "--deltas", "0.1,x"])
+    assert exc.value.code == 2
+    assert "bad delta list '0.1,x'" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ def test_support_must_span_unit_interval():
         StepPayoff(cuts=(0.1, 1.0), levels=(0.5,))
     with pytest.raises(ProblemValidationError, match="last cut must be 1"):
         StepPayoff(cuts=(0.0, 0.9), levels=(0.5,))
+
+
+@pytest.mark.parametrize("cuts, levels, message", [
+    ((0.0,), (1.0,), "need at least 2 cuts, got 1"),
+    ((0.0, math.nan, 1.0), (0.0, 1.0), "cuts must all be finite numbers"),
+    ((0.0, 0.5, 1.0), (0.0, math.inf), "levels must all be finite numbers"),
+], ids=["one-cut", "nan-cut", "inf-level"])
+def test_support_rejects_short_or_non_finite_input(cuts, levels, message):
+    with pytest.raises(ProblemValidationError, match=re.escape(message)):
+        StepPayoff(cuts=cuts, levels=levels)
 
 
 def test_support_rejects_unsorted_and_duplicate_cuts():
@@ -133,7 +144,6 @@ LOOKUPS = {
     "value.value": lambda prob, sol: sol.value.value,
     "value.derivative": lambda prob, sol: sol.value.derivative,
     "policy.region_index": lambda prob, sol: sol.policy.region_index,
-    "policy.region_at": lambda prob, sol: sol.policy.region_at,
     "policy.targets": lambda prob, sol: sol.policy.targets,
     "oracle.value": lambda prob, sol: _oracle_result(prob).value,
 }

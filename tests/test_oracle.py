@@ -344,7 +344,7 @@ def _per_node_policy_values(problem, policy, delta, grid):
     c = np.empty(n)
     for i in range(n):
         d = a + b * pts[i]
-        region = policy.region_at(d)
+        region = policy.regions[policy.region_index(d)]
         if region.action == "slide":
             c[i] = problem.payoff.value(d)
             moves = [(d, 1.0)]

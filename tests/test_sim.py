@@ -75,6 +75,14 @@ def test_max_tail_must_be_positive(canon_problem, canon_solution, max_tail):
         simulate(canon_problem, canon_solution.policy, config, max_tail=max_tail)
 
 
+@pytest.mark.parametrize("delta", [1e-300, 1e-17])
+def test_discount_factor_rounding_to_one_is_out_of_range(canon_problem, canon_solution, delta):
+    # With x == 1 no horizon bounds the truncation, even with the check off.
+    config = SimConfig(delta=delta, horizon=5, n_paths=10, seed=0, initial_belief=0.5)
+    with pytest.raises(OutOfRange, match="discount factor exp\\(-r delta\\) rounds to 1"):
+        simulate(canon_problem, canon_solution.policy, config, max_tail=math.inf)
+
+
 def test_tail_bound_formula(canon_problem, canon_solution):
     config = SimConfig(delta=0.01, horizon=400, n_paths=16, seed=0, initial_belief=0.5)
     res = simulate(canon_problem, canon_solution.policy, config)

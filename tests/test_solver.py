@@ -309,6 +309,11 @@ def test_piecewise_value_rejects_gap():
         PiecewiseValue(segs)
 
 
+def test_piecewise_value_rejects_no_segments():
+    with pytest.raises(SolverError, match="no segments"):
+        PiecewiseValue([])
+
+
 def test_piecewise_value_rejects_partial_cover():
     with pytest.raises(SolverError):
         PiecewiseValue([ValueSegment.linear(0.0, 0.9, 0.0, 1.0)])
@@ -352,9 +357,8 @@ def test_policy_region_lookup(canon_solution):
     pol = canon_solution.policy
     q = canon_solution.cutoffs[0]
     # Left-closed regions: boundary belief belongs to the region it opens.
-    assert pol.region_at(0.6).action == "slide"
-    assert pol.region_at(q).action == "split"
-    assert pol.region_at(1.0).action == "slide"
+    assert [pol.regions[pol.region_index(p)].action for p in (0.6, q, 1.0)] == [
+        "slide", "split", "slide"]
     idx = pol.region_index(np.array([0.0, 0.2 - 1e-12, 0.2, q, 1.0]))
     np.testing.assert_array_equal(idx, [0, 0, 1, 4, 5])
 
@@ -467,7 +471,8 @@ def test_replace_rederives_policy(canon_solution, flat_problem):
     moved = shifted_cutoff(canon_solution, 0.01)
     q = moved.value.segments[-2].lo
     assert moved.cutoffs == (q,)
-    assert moved.policy.region_at(q) == PolicyRegion(q, 0.8, "split", q, 0.8)
+    assert moved.policy.regions[moved.policy.region_index(q)] == PolicyRegion(
+        q, 0.8, "split", q, 0.8)
     bent = dataclasses.replace(solve(flat_problem),
                                value=polyline([(0.0, 0.6), (0.5, 0.7), (1.0, 0.7)]))
     assert [r.action for r in bent.policy.regions] == ["slide", "slide"]
