@@ -110,17 +110,20 @@ def _solution_json_path(csv_path: str) -> str:
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+# Each subcommand returns (outputs, params): the (path, text) pairs to write, in
+# order, and the parameters recorded in every output's manifest.
+
+def cmd_validate(args) -> tuple[list, dict]:
     problem = load_problem(args.config)
     print(f"p_star={problem.stationary_belief!r}")
     print(f"mu={problem.discount_ratio!r}")
     print(f"m={problem.pivot}")
     print(f"m_prime={problem.intervals_above}")
     print(f"pinned={problem.pinned}")
-    return 0
+    return [], {}
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[list, dict]:
     if args.samples < 0:
         raise OutOfRange(f"sample count must be non-negative, got {args.samples}")
     if args.samples > _MAX_SAMPLES:
@@ -135,30 +138,20 @@ def cmd_solve(args) -> int:
     ]))
     value = solution.value
     lows, highs = solution.policy.targets(pts)
-    rows = []
-    for p, low, high in zip(pts.tolist(), lows.tolist(), highs.tolist()):
-        side = "left" if p == 1.0 else "right"
-        is_cutoff = any(abs(p - q) <= _CUTOFF_MATCH_TOL for q in solution.cutoffs)
-        rows.append((
-            p,
-            float(problem.payoff.value(p)),
-            float(problem.payoff.envelope(p)),
-            value.value(p),
-            value.derivative(p, side=side),
-            f"split:{low!r}:{high!r}" if low < high else "slide",
-            is_cutoff,
-        ))
+    rows = [
+        (p, float(problem.payoff.value(p)), float(problem.payoff.envelope(p)), value.value(p),
+         value.derivative(p), f"split:{low!r}:{high!r}" if low < high else "slide",
+         any(abs(p - q) <= _CUTOFF_MATCH_TOL for q in solution.cutoffs))
+        for p, low, high in zip(pts.tolist(), lows.tolist(), highs.tolist())
+    ]
     header = ["belief", "u", "cav_u", "v", "v_prime", "region", "is_cutoff"]
-    _write_atomic(args.out, _csv_text(header, rows))
     json_path = _solution_json_path(args.out)
-    _write_atomic(json_path, json.dumps(solution.to_dict(), indent=2) + "\n")
-    params = {"samples": args.samples, "solution_json": json_path}
-    _write_manifest(args.out, "solve", args.config, params)
-    _write_manifest(json_path, "solve", args.config, params)
-    return 0
+    outputs = [(args.out, _csv_text(header, rows)),
+               (json_path, json.dumps(solution.to_dict(), indent=2) + "\n")]
+    return outputs, {"samples": args.samples, "solution_json": json_path}
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[list, dict]:
     problem = load_problem(args.config)
     solution = solve(problem)
     grid = make_grid(problem, args.grid_gap, extra=solution.cutoffs)
@@ -167,14 +160,10 @@ def cmd_oracle(args) -> int:
     u = problem.payoff.value(pts)
     cav = problem.payoff.envelope(pts)
     v_solver = solution.value.value(pts)
-    rows = [
-        (float(pts[i]), float(result.values[i]), float(u[i]), float(cav[i]),
-         float(v_solver[i]), float(abs(result.values[i] - v_solver[i])))
-        for i in range(pts.size)
-    ]
+    rows = zip(pts.tolist(), result.values.tolist(), u.tolist(), cav.tolist(),
+               v_solver.tolist(), np.abs(result.values - v_solver).tolist())
     header = ["belief", "value", "u", "cav_u", "solver_value", "abs_error"]
-    _write_atomic(args.out, _csv_text(header, rows))
-    _write_manifest(args.out, "oracle", args.config, {
+    return [(args.out, _csv_text(header, rows))], {
         "delta": args.delta,
         "grid_gap": args.grid_gap,
         "tol": args.tol,
@@ -182,8 +171,7 @@ def cmd_oracle(args) -> int:
         "residual": result.residual,
         "certified_bound": result.bound,
         "grid_points": len(grid),
-    })
-    return 0
+    }
 
 
 def _resolve_policy(args, problem: Problem):
@@ -207,7 +195,7 @@ def _resolve_policy(args, problem: Problem):
         raise ProblemValidationError([f"policy file {name}: malformed policy: {exc!r}"]) from exc
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[list, dict]:
     problem = load_problem(args.config)
     policy, policy_name = _resolve_policy(args, problem)
     delta = args.delta if args.delta is not None else default_period(problem)
@@ -231,12 +219,11 @@ def cmd_simulate(args) -> int:
             for b in result.calibration if b.count
         ],
     }
-    _write_atomic(args.out, json.dumps(payload, indent=2) + "\n")
-    _write_manifest(args.out, "simulate", args.config, payload["config"] | {"policy": policy_name})
-    return 0
+    return ([(args.out, json.dumps(payload, indent=2) + "\n")],
+            payload["config"] | {"policy": policy_name})
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[list, dict]:
     problem = load_problem(args.config)
     solution = solve(problem)
     deltas = args.deltas
@@ -252,13 +239,11 @@ def cmd_sweep(args) -> int:
             float(np.max(np.abs(pol.values - v_solver))),
         ))
     header = ["delta", "value_iteration_sup_error", "policy_sup_error"]
-    _write_atomic(args.out, _csv_text(header, rows))
-    _write_manifest(args.out, "sweep", args.config, {
+    return [(args.out, _csv_text(header, rows))], {
         "deltas": list(map(float, deltas)),
         "grid_gap": args.grid_gap,
         "tol": args.tol,
-    })
-    return 0
+    }
 
 
 # --- argument parsing --------------------------------------------------------
@@ -280,27 +265,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "discrete-time oracle, and simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by several subcommands, declared once.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="problem JSON file")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-gap", type=float, default=1e-3, help="belief grid spacing")
+    grid.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixed-point tolerance")
 
-    p = sub.add_parser("validate", help="check a problem config and print derived constants")
-    p.add_argument("--config", required=True, help="problem JSON file")
+    p = sub.add_parser("validate", parents=[config],
+                       help="check a problem config and print derived constants")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", help="closed-form value and policy; CSV table plus solution JSON")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("solve", parents=[config],
+                       help="closed-form value and policy; CSV table plus solution JSON")
     p.add_argument("--out", required=True, help="CSV output path (solution JSON lands beside it)")
     p.add_argument("--samples", type=int, default=1001, help="uniform sample count for the CSV")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("oracle", help="discrete-time value iteration compared against the solver")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("oracle", parents=[config, grid],
+                       help="discrete-time value iteration compared against the solver")
     p.add_argument("--out", required=True)
     p.add_argument("--delta", type=float, default=1e-3, help="period length")
-    p.add_argument("--grid-gap", type=float, default=1e-3, help="belief grid spacing")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixed-point tolerance")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo run of a policy")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("simulate", parents=[config], help="Monte-Carlo run of a policy")
     p.add_argument("--out", required=True, help="result JSON path")
     p.add_argument("--policy", default="sigma_star",
                    help="sigma_star | myopic | slide_only | path to a policy/solution JSON")
@@ -314,13 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="starting belief (default: the stationary belief)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="oracle and policy errors across period lengths")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep", parents=[config, grid],
+                       help="oracle and policy errors across period lengths")
     p.add_argument("--out", required=True)
     p.add_argument("--deltas", type=_delta_list, default=[0.1, 0.03, 0.01, 0.003],
                    help="comma-separated period lengths")
-    p.add_argument("--grid-gap", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -329,7 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        outputs, params = args.func(args)
+        for path, text in outputs:
+            _write_atomic(path, text)
+        for path, _ in outputs:
+            _write_manifest(path, args.command, args.config, params)
     except PersuadeError as exc:
         prefix, code = next((prefix, code) for cls, prefix, code in _EXITS if isinstance(exc, cls))
         for line in getattr(exc, "problems", [str(exc)]):
@@ -338,6 +328,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def run() -> None:

@@ -96,7 +96,7 @@ class MarkovRates:
     @property
     def stationary_belief(self) -> float:
         """Invariant probability of state 1: lambda0 / (lambda0 + lambda1)."""
-        return self.lambda0 / (self.lambda0 + self.lambda1)
+        return self.lambda0 / self.switch_rate
 
 
 @dataclass(frozen=True, slots=True)

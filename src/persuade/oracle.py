@@ -97,15 +97,16 @@ def make_grid(problem: Problem, gap: float, extra=()) -> BeliefGrid:
     pts = pts[keep]
     pts[0], pts[-1] = 0.0, 1.0
 
-    for i in range(len(cuts) - 1):
-        lo = np.searchsorted(pts, cuts[i], side="left")
-        hi = np.searchsorted(pts, cuts[i + 1], side="left")
-        count = int(hi - lo) + (1 if i == len(cuts) - 2 else 0)
-        if count < 3:
-            raise OracleError(
-                f"payoff interval [{cuts[i]}, {cuts[i + 1]}) has only {count} "
-                f"grid points at gap {gap}"
-            )
+    # Points per payoff interval [cut, next cut); the last one is closed at 1.
+    counts = np.diff(np.searchsorted(pts, cuts))
+    counts[-1] += 1
+    short = np.flatnonzero(counts < 3)
+    if short.size:
+        i = short[0]
+        raise OracleError(
+            f"payoff interval [{cuts[i]}, {cuts[i + 1]}) has only {counts[i]} "
+            f"grid points at gap {gap}"
+        )
     return BeliefGrid(pts)
 
 
@@ -252,7 +253,7 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
 
     cols, vals = [], []
     for target, mass in ((lo, 1.0 - rho), (hi, rho)):
-        j = np.clip(np.searchsorted(pts, target, side="right") - 1, 0, n - 2)
+        j = np.minimum(_locate(target, pts)[1], n - 2)
         t = (target - pts[j]) / (pts[j + 1] - pts[j])
         cols += [j, j + 1]
         vals += [mass * (1.0 - t), mass * t]

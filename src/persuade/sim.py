@@ -71,11 +71,13 @@ MAX_HORIZON = 10**7
 MAX_PATHS = 10**7
 # compare_policies' allowance for the period discretization.
 _ALLOWANCE = 0.01
+# Every double in [0, 1] is an integer multiple of 1 / _SCALE.
+_SCALE = 2**1074
 
 
 def default_period(problem: Problem) -> float:
     """Period short relative to every rate in the instance."""
-    return 0.01 / (problem.rates.lambda0 + problem.rates.lambda1 + problem.discounting.r)
+    return 0.01 / (problem.rates.switch_rate + problem.discounting.r)
 
 
 def _periods_needed(problem: Problem, delta: float, max_tail: float) -> float:
@@ -327,18 +329,16 @@ def _run_chunk(table, config, n_paths, seed_seq, weights):
 
 
 def _exact_bin_sums(values: np.ndarray, counts: np.ndarray, bins: np.ndarray) -> list[float]:
-    """Per-bin sum(values * counts), correctly rounded; counts are integers below 2**53.
+    """Per-bin sum(values * counts) of beliefs in [0, 1] and integer counts, correctly rounded.
 
-    Veltkamp's split makes every partial product exact, so math.fsum rounds once.
+    The sums of belief * _SCALE are exact in Python integers, and the true
+    division rounds each bin once.
     """
-    big = 134217729.0 * values              # (2**27 + 1) * values
-    v_hi = big - (big - values)
-    v_lo = values - v_hi
-    c_hi = (counts >> 26 << 26).astype(float)
-    c_lo = (counts & (2**26 - 1)).astype(float)
-    parts = np.stack([v_hi * c_hi, v_hi * c_lo, v_lo * c_hi, v_lo * c_lo], axis=1)
-    occupied = set(bins[counts > 0].tolist())
-    return [math.fsum(parts[bins == k].ravel()) if k in occupied else 0.0 for k in range(_N_BINS)]
+    sums = [0] * _N_BINS
+    for value, count, k in zip(values.tolist(), counts.tolist(), bins.tolist()):
+        num, den = value.as_integer_ratio()
+        sums[k] += num * (_SCALE // den) * count
+    return [total / _SCALE for total in sums]
 
 
 def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,

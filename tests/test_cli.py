@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import json
@@ -463,3 +464,50 @@ def test_sweep_rejects_unparsable_delta_list(tmp_path, canon_config, capsys):
               "--deltas", "0.1,x"])
     assert exc.value.code == 2
     assert "bad delta list '0.1,x'" in capsys.readouterr().err
+
+
+# --- outputs and options of every subcommand -----------------------------------
+
+@pytest.mark.parametrize("command, extra, written", [
+    ("solve", [], ["out.csv", "out.json"]),
+    ("oracle", ["--delta", "0.05", "--grid-gap", "0.01"], ["out.csv"]),
+    ("simulate", ["--paths", "100"], ["out.csv"]),
+    ("sweep", ["--deltas", "0.1", "--grid-gap", "0.01"], ["out.csv"]),
+])
+def test_every_output_gets_a_manifest(tmp_path, canon_config, command, extra, written):
+    assert main([command, "--config", canon_config, "--out", str(tmp_path / "out.csv"),
+                 *extra]) == 0
+    manifests = [name + ".manifest.json" for name in written]
+    assert sorted(p.name for p in tmp_path.glob("out*")) == sorted(written + manifests)
+    for name in manifests:
+        assert json.loads((tmp_path / name).read_text())["command"] == command
+
+
+def test_failed_write_leaves_no_manifest(tmp_path, canon_config, capsys):
+    # The table is written, the solution JSON is not, and no output gets a manifest.
+    (tmp_path / "sol.json").mkdir()
+    assert main(["solve", "--config", canon_config, "--out", str(tmp_path / "sol.csv")]) == 3
+    assert capsys.readouterr().err.startswith("file error: ")
+    assert (tmp_path / "sol.csv").exists()
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+def test_cli_options_and_defaults():
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    table = {
+        name: {action.dest: "required" if action.required else action.default
+               for action in parser._actions if action.option_strings and action.dest != "help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert table == {
+        "validate": {"config": "required"},
+        "solve": {"config": "required", "out": "required", "samples": 1001},
+        "oracle": {"config": "required", "out": "required", "delta": 1e-3, "grid_gap": 1e-3,
+                   "tol": 1e-6},
+        "simulate": {"config": "required", "out": "required", "policy": "sigma_star",
+                     "delta": None, "paths": 10_000, "horizon": None, "seed": 0,
+                     "belief": None},
+        "sweep": {"config": "required", "out": "required",
+                  "deltas": [0.1, 0.03, 0.01, 0.003], "grid_gap": 1e-3, "tol": 1e-6},
+    }

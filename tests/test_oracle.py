@@ -10,6 +10,7 @@ import pytest
 from persuade import oracle
 from persuade.dynamics import drift_map, make_split_signal
 from persuade.errors import NoConvergence, OracleError, OutOfRange
+from persuade.model import parse_problem
 from persuade.oracle import (
     _HULL_BEND_TOL,
     _HULL_PASSES,
@@ -24,6 +25,8 @@ from persuade.oracle import (
     value_iteration,
 )
 from persuade.solver import MarkovPolicy
+
+from conftest import CANON_RAW
 
 
 # --- grids --------------------------------------------------------------------
@@ -57,6 +60,15 @@ def test_grid_read_only(canon_problem):
 def test_grid_too_coarse(canon_problem):
     with pytest.raises(OracleError, match="has only 2 grid points"):
         make_grid(canon_problem, 0.5)
+
+
+def test_grid_counts_the_top_interval_closed_at_one():
+    # At gap 0.25 the top interval [0.5, 1] holds 0.5, 0.75 and 1; [0.9, 1] holds two points.
+    problem = parse_problem(dict(CANON_RAW, cuts=[0.0, 0.5, 1.0], levels=[0.0, 1.0]))
+    assert len(make_grid(problem, 0.25)) == 6
+    problem = parse_problem(dict(CANON_RAW, cuts=[0.0, 0.5, 0.9, 1.0], levels=[0.0, 0.6, 1.0]))
+    with pytest.raises(OracleError, match=r"interval \[0.9, 1.0\) has only 2 grid points"):
+        make_grid(problem, 0.25)
 
 
 @pytest.mark.parametrize("gap", [1e-9, 1e-300, 5e-324])
@@ -290,6 +302,14 @@ def test_policy_evaluation_residual_is_tiny(canon_problem):
     res = evaluate_policy_discrete(canon_problem, myopic_policy(canon_problem), 0.02, grid)
     assert res.residual <= 1e-8
     assert res.iterations == 1
+
+
+def test_policy_residual_guard_carries_result(canon_problem, monkeypatch):
+    monkeypatch.setattr(oracle, "_POLICY_RESIDUAL_TOL", -1.0)
+    grid = make_grid(canon_problem, 5e-3)
+    with pytest.raises(NoConvergence, match="policy linear system residual") as exc:
+        evaluate_policy_discrete(canon_problem, myopic_policy(canon_problem), 0.02, grid)
+    assert exc.value.result.values.shape == grid.points.shape
 
 
 def test_slide_only_value_matches_closed_form(canon_problem):

@@ -292,6 +292,20 @@ def test_thread_count_does_not_change_results(canon_problem, canon_solution, mon
     assert serial.calibration == threaded.calibration
 
 
+@pytest.mark.parametrize("raw", ["two", "", "0", "-3"])
+def test_unusable_thread_setting_runs_one_thread(monkeypatch, raw):
+    monkeypatch.setenv("PERSUADE_THREADS", raw)
+    assert sim._thread_count() == 1
+
+
+@pytest.mark.parametrize("cpus, threads", [(7, 7), (None, 1)])
+def test_thread_count_without_affinity_reads_cpu_count(monkeypatch, cpus, threads):
+    monkeypatch.delenv("PERSUADE_THREADS", raising=False)
+    monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    assert sim._thread_count() == threads
+
+
 def test_workers_capped_at_chunk_count(canon_problem, canon_solution, monkeypatch):
     # One chunk needs one worker, so it starts no pool; three chunks get three.
     def no_pool(*args, **kwargs):
@@ -413,6 +427,13 @@ def test_calibration_counts_are_consistent(canon_problem, canon_solution):
         assert 0 <= b.state_one <= b.count
         if b.count:
             assert b.lo - 1e-12 <= b.predicted <= b.hi + 1e-12
+
+
+def test_empty_calibration_bin_is_nan():
+    empty = sim.CalibrationBin(lo=0.0, hi=0.1, count=0, state_one=0, belief_sum=0.0)
+    assert math.isnan(empty.frequency)
+    assert math.isnan(empty.predicted)
+    assert math.isnan(empty.std_error)
 
 
 # --- policy comparison --------------------------------------------------------

@@ -335,6 +335,12 @@ def test_check_shape_flags_convex_kink():
         value.check_shape()
 
 
+def test_check_shape_flags_decreasing_value():
+    value = PiecewiseValue([ValueSegment.linear(0.0, 1.0, 1.0, -0.5)])
+    with pytest.raises(SolverError, match="decreasing value on segment ending at 1.0"):
+        value.check_shape()
+
+
 def test_policy_region_validation():
     with pytest.raises(ProblemValidationError, match="unknown action 'wait'"):
         PolicyRegion(lo=0.0, hi=0.5, action="wait", low_target=None, high_target=None)
@@ -541,6 +547,15 @@ def test_verify_flags_shape(flat_problem, points, expected):
     rep = verify_solution(flat_problem, broken, n_points=5)
     assert [(v.condition, v.belief) for v in rep.violations] == expected
     assert rep.max_residual_deficit == 0.0
+
+
+def test_verify_flags_interior_gap(canon_problem, canon_solution):
+    # Above p* the value must stay below each interior cut's level; the flat
+    # line at 1.0 tops 0.95 at 0.6 and touches 1.0 at 0.8.
+    flat = PiecewiseValue([ValueSegment.linear(0.0, 1.0, 1.0, 0.0)])
+    rep = verify_solution(canon_problem, dataclasses.replace(canon_solution, value=flat))
+    gaps = [(v.belief, v.magnitude) for v in rep.violations if v.condition == "interior_gap"]
+    assert gaps == [(0.6, pytest.approx(0.05)), (0.8, 0.0)]
 
 
 def test_verify_random_instances():
