@@ -103,8 +103,9 @@ def make_grid(problem: Problem, gap: float, extra=()) -> BeliefGrid:
     short = np.flatnonzero(counts < 3)
     if short.size:
         i = short[0]
+        close = "]" if i == counts.size - 1 else ")"
         raise OracleError(
-            f"payoff interval [{cuts[i]}, {cuts[i + 1]}) has only {counts[i]} "
+            f"payoff interval [{cuts[i]}, {cuts[i + 1]}{close} has only {counts[i]} "
             f"grid points at gap {gap}"
         )
     return BeliefGrid(pts)

@@ -15,18 +15,43 @@ Period weights (1 - x) x^n, n = 0, 1, ..., sum to one over an infinite
 horizon; a run credits the periods past its horizon at the lowest level, so
 simulated means are directly comparable to the solver's value.
 
-Paths are simulated in chunks of at most _CHUNK paths, split evenly (sizes
-differ by at most one).  Each chunk spawns two children of its own child of
-the master seed sequence and runs a PCG64 generator on each.  The state
+A path moves from event to event, not period by period.  Paths are
+simulated in chunks of at most _CHUNK paths, split evenly (sizes differ by
+at most one).  Each chunk spawns two children of its own child of the
+master seed sequence and runs a PCG64 generator on each.  The state
 generator draws every path's initial state and then its holding times: the
 periods to its next flip are geometric with the flip probability of its
-current state, drawn by inversion, so a period costs no state draw where no
-path flips.  Flips are scheduled in blocks of _FLIP_BLOCK periods.  The
-message generator draws one uniform per path and period.  Chunk payoff sums
-are folded in chunk order with math.fsum and integer visit counts are added,
-so results are bit-identical for a given seed no matter how many worker
-threads run (one per available core by default; set PERSUADE_THREADS to
-override).  The bit generator, the chunk layout and the scheduling block are
+current state, drawn by inversion.  The horizon is cut into blocks of
+_BLOCK periods; at the start of each block, rounds of holding times are
+drawn, in path order, for every path whose next flip still falls in the
+block, so the state paths do not depend on the policy.  Then, round by
+round, every path short of the block end moves by one event:
+
+1. a flip due in its period is applied;
+2. where the policy slides, a drift run: the periods along which the
+   drifted belief slides at one payoff level, all at once;
+3. at a hold, a split target to which the split of its drifted belief
+   returns the path, one uniform u from the message generator gives
+   floor(log(1 - u) / log(1 - P(leave))) returning periods, after which a
+   period sends the leaving message;
+4. at any other split, one period, with the high message when u < beta of
+   the state.
+
+No event runs past the path's next flip or the block end, which cuts a
+hold's geometric time there (the next event draws afresh).  The paths that
+split in a round draw one uniform each, in path order.
+
+A path's payoff is credited run by run: over each maximal run of periods
+m, ..., n - 1 whose post-message beliefs share one payoff level h, it earns
+h (W[n] - W[m]), added in time order, where W[k] is the sum of the first k
+period weights.  Occupancy is tallied per (code, state) in integers, a
+held stretch as one weighted count and a drift run through a difference
+array, so calibration counts are exact.  Each chunk returns its path
+count, mean payoff and summed squared deviations; these are combined in
+chunk order by the pairwise update of Chan, Golub and LeVeque, so results
+are bit-identical for a given seed no matter how many worker threads run
+(one per available core by default; set PERSUADE_THREADS to override).
+The bit generator, the chunk layout, the block and the event order are
 part of the random stream: changing any of them changes the result for a
 given seed.  State paths come from their own generator, so runs with the
 same seed see identical state paths under different policies.
@@ -56,9 +81,10 @@ __all__ = [
     "sized_horizon",
 ]
 
-_CHUNK = 32768
-# Periods whose state flips are scheduled together (part of the random stream).
-_FLIP_BLOCK = 16
+_CHUNK = 10000
+# Periods whose state flips are drawn together; no event runs past a block's
+# end (part of the random stream).
+_BLOCK = 1000
 # 21 equal bins: with a bin count that shares no small factor with the
 # decimal grids cuts are usually written in (multiples of 0.05 or 0.1),
 # posterior atoms at cut values land in bin interiors instead of on edges,
@@ -191,21 +217,23 @@ class _BeliefTable:
     initial belief or a split target) followed by k periods of silent drift,
     so a path carries the code of (atom, k) and code + 1 is one more drift
     step.  Each atom's chain ends at its first drifted belief (k >= 1) that
-    the policy splits, or after `horizon` drift steps.  A path holds its code
-    and hidden state as one integer cur = 4 * code + 2 * state, its code at
-    the start of a period; the period tables are indexed by cur with the
-    drift step folded in, so a period is one take for the message law and
-    next_cur[cur + high] is the post-message cur (the drifted code where the
-    policy slides).
+    the policy splits, or after `horizon` drift steps.  The slot tables are
+    indexed by the code a path starts a period at, with the drift step
+    folded in; a state-dependent one by slot 2 * code + state, next_code by
+    2 * code + high.  A hold is an atom to which one of the messages sent
+    at its drifted belief returns the path; the other one leaves it.
     """
 
     start: int              # code of the initial belief
     belief: np.ndarray      # belief per code
     bin: np.ndarray         # calibration bin per code
+    level: np.ndarray       # u(belief) per code
     flip: tuple[float, float]  # P(0->1) = a, P(1->0) = 1 - a - b
-    p_high: np.ndarray      # per cur: beta0 or beta1 at the drifted code
-    level: np.ndarray       # per cur: u(belief)
-    next_cur: np.ndarray    # per cur + high: post-message cur
+    split: np.ndarray       # per code: the policy splits the drifted belief
+    next_code: np.ndarray   # per 2 * code + high: post-message code (code + 1 where it slides)
+    p_high: np.ndarray      # per slot: P(high | the path moves): beta, or the leaving bit at a hold
+    log_stay: np.ndarray    # per slot: log(1 - P(leave)) at a hold, -inf elsewhere
+    run: np.ndarray         # per code: drift steps along codes at one level, up to a split
 
 
 def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> _BeliefTable:
@@ -243,22 +271,40 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
         offsets[atom] = size
         size += len(chain)
     belief = np.concatenate([np.array(chain) for chain in chains.values()])
-    # Indexed by the drifted code; row `size` pads the last code, which no
-    # path starts a period at (it is a split or the horizon's end).
-    p_high = np.zeros((size + 1, 2))
-    next_code = np.repeat(np.arange(size + 1)[:, None], 2, axis=1)
+    level = problem.payoff.value(belief)
+    codes = np.arange(size)
+    split = np.zeros(size, dtype=bool)
+    beta = np.zeros((size, 2))
+    next_code = np.repeat(codes[:, None] + 1, 2, axis=1)
     for atom, signal in signals.items():
-        code = offsets[atom] + len(chains[atom]) - 1
-        p_high[code] = signal.beta0, signal.beta1
+        code = offsets[atom] + len(chains[atom]) - 2
+        split[code] = True
+        beta[code] = signal.beta0, signal.beta1
         next_code[code] = offsets[signal.low_target], offsets[signal.high_target]
+    returns = next_code == codes[:, None]  # per (code, high): the message returns the path
+    hold = np.any(returns, axis=1)[:, None]
+    leave_high = returns[:, :1]
+    with np.errstate(divide="ignore"):  # a leave probability of 1 gives -inf
+        log_stay = np.where(hold, np.log1p(-np.where(leave_high, beta, 1.0 - beta)), -np.inf)
+    # A drift run from code c takes codes c + 1, ..., c + run[c]; it goes on
+    # past code d while d drifts, keeps its level and is no chain end (which
+    # starts no period: it is a split or the horizon's end).
+    goes_on = ~split
+    goes_on[[offsets[atom] + len(chain) - 1 for atom, chain in chains.items()]] = False
+    goes_on[:-1] &= level[1:] == level[:-1]
+    ends = np.append(np.flatnonzero(~goes_on), size)
+    run = ends[np.searchsorted(ends, codes + 1)] - codes
     return _BeliefTable(
         start=offsets[float(config.initial_belief)],
         belief=belief,
         bin=np.clip((belief * _N_BINS).astype(np.int64), 0, _N_BINS - 1),
+        level=level,
         flip=(drift0, 1.0 - drift0 - drift_slope),
-        p_high=np.repeat(p_high[1:], 2, axis=1).ravel(),
-        level=np.repeat(problem.payoff.value(belief), 4),
-        next_cur=(4 * next_code[1:, None, :] + 2 * np.arange(2)[:, None]).ravel(),
+        split=split,
+        next_code=next_code.ravel(),
+        p_high=np.where(hold, leave_high, beta).ravel(),
+        log_stay=log_stay.ravel(),
+        run=np.where(split, 1, run),
     )
 
 
@@ -279,53 +325,130 @@ def _holding_times(rng, state: np.ndarray, log_stay: np.ndarray, horizon: int) -
     return np.fmin(periods, horizon + 1, out=periods).astype(np.int64)
 
 
-def _flip_schedule(rng, state, next_flip, log_stay, first, stop, horizon):
-    """Per period from first to stop - 1, the paths whose state flips in it.
+def _flip_lists(rng, state, next_flip, log_stay, first, stop, horizon):
+    """Per path, the periods from first to stop - 1 in which its state flips, then stop.
 
     next_flip[j] is the period in which path j's state next flips; every due
     flip toggles state and draws the following holding time, in rounds of
-    all paths still due before stop, in path order.
+    all paths still due before stop, in path order.  Returns the lists laid
+    end to end in path order, as periods counted from first, and each
+    path's first index into them.
     """
-    due = np.flatnonzero(next_flip < stop)
-    paths, periods = [due], [next_flip[due]]
+    rounds = []
+    counts = np.ones(state.size, dtype=np.int64)
+    due = first_due = np.flatnonzero(next_flip < stop)
     while due.size:
+        periods = (next_flip[due] - first).astype(np.int16)  # a block fits 16 bits
+        counts[due] += 1
         state[due] ^= True
         next_flip[due] += _holding_times(rng, state[due], log_stay, horizon)
-        due = due[next_flip[due] < stop]
-        paths.append(due)
-        periods.append(next_flip[due])
-    periods = np.concatenate(periods)
-    order = np.argsort(periods, kind="stable")
-    return np.split(np.concatenate(paths)[order],
-                    np.searchsorted(periods[order], np.arange(first + 1, stop)))
+        still = next_flip[due] < stop
+        rounds.append((periods, still))
+        due = due[still]
+    # Round k holds the k-th flip of each path due in it.
+    start = np.cumsum(counts) - counts
+    flips = np.full(int(start[-1] + counts[-1]), stop - first, dtype=np.int16)
+    due = first_due
+    for k, (periods, still) in enumerate(rounds):
+        flips[start[due] + k] = periods
+        due = due[still]
+    return flips, start
 
 
-def _run_chunk(table, config, n_paths, seed_seq, weights):
-    """Simulate one chunk; returns payoff sums and occupancy[cur], the periods ended at cur."""
+def _events(table, message_rng, c, s, t, limit, visits, runs):
+    """Move each path by one event from code c and state s at period t.
+
+    limit is the period of the path's next flip or the block end, whichever
+    comes first.  Adds the periods ended to visits (per slot) and to runs
+    (a difference array per slot, for drift runs).  Returns the code and
+    period after the event, the paths whose payoff level it changed, and
+    the period at which each of them entered the new level.
+    """
+    room = limit - t
+    slot = 2 * c + s
+    # A drift run's steps past its first go to runs: one at its second code,
+    # minus one past its last.
+    drifts = np.flatnonzero(table.run[c] > 1)
+    steps = np.minimum(table.run[c[drifts]], room[drifts]) - 1
+    drifts, steps = drifts[steps > 0], steps[steps > 0]
+    np.add.at(runs, slot[drifts] + 4, 1)
+    np.add.at(runs, slot[drifts] + 4 + 2 * steps, -1)
+
+    moves = table.split[c]
+    draws = np.zeros(c.size)
+    draws[moves] = message_rng.random(np.count_nonzero(moves))
+    new = table.next_code[2 * c + (draws < table.p_high[slot])]
+    # A hold returns for `stays` periods, then leaves; a split moves at
+    # once, and so does a drift step (draw 0, never high).
+    np.log1p(np.negative(draws, out=draws), out=draws)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(draws, table.log_stay[slot], out=draws)
+    left = np.floor(draws, out=draws) < room
+    stays = np.fmin(draws, room, out=draws).astype(np.int64)
+    np.add.at(visits, slot, stays)
+    del draws, slot, room  # freed here: the chunk's memory peaks below
+    np.copyto(new, c, where=~left)
+    np.add.at(visits, (2 * new + s)[left], 1)
+    end = t + stays + left
+    new[drifts] += steps
+    end[drifts] += steps
+    changed = np.flatnonzero(table.level[new] != table.level[c])
+    return new, end, changed, t[changed] + stays[changed]
+
+
+def _run_chunk(table, config, n_paths, seed_seq, cum_weights):
+    """Simulate one chunk.
+
+    Returns the path count, the mean and the summed squared deviations of
+    the path payoffs, and occupancy[code, state], the periods ended there.
+    """
     state_seq, message_seq = seed_seq.spawn(2)
     state_rng = np.random.Generator(np.random.PCG64(state_seq))
     message_rng = np.random.Generator(np.random.PCG64(message_seq))
     horizon = config.horizon
-    log_stay = np.log1p(-np.array(table.flip))  # per state: log(1 - P(flip))
+    size = table.level.size
+    level = table.level
+    log_flip_stay = np.log1p(-np.array(table.flip))  # per state: log(1 - P(flip))
 
     state = state_rng.random(n_paths) < config.initial_belief
-    next_flip = _holding_times(state_rng, state, log_stay, horizon) - 1
-    cur = 4 * table.start + 2 * state.astype(np.int64)
-    draws = np.empty(n_paths)
+    next_flip = (_holding_times(state_rng, state, log_flip_stay, horizon) - 1).astype(np.int32)
+    drawn = state.copy()  # the state after every flip drawn so far
+    code = np.full(n_paths, table.start, dtype=np.int64)
+    since = np.zeros(n_paths, dtype=np.int64)  # first period of the path's level run
     totals = np.zeros(n_paths)
-    occupancy = np.zeros(table.next_cur.size, dtype=np.int64)
+    # Periods ended per slot, and per slot a difference array for drift runs.
+    visits = np.zeros(2 * size, dtype=np.int64)
+    runs = np.zeros(2 * size + 2, dtype=np.int64)
 
-    for first in range(0, horizon, _FLIP_BLOCK):
-        stop = min(first + _FLIP_BLOCK, horizon)
-        schedule = _flip_schedule(state_rng, state, next_flip, log_stay, first, stop, horizon)
-        for n, flipping in enumerate(schedule, start=first):
-            cur[flipping] ^= 2
-            message_rng.random(out=draws)
-            cur = np.take(table.next_cur, cur + (draws < np.take(table.p_high, cur)))
-            totals += weights[n] * np.take(table.level, cur)
-            np.add.at(occupancy, cur, 1)
+    for first in range(0, horizon, _BLOCK):
+        stop = min(first + _BLOCK, horizon)
+        flips, cursor = _flip_lists(state_rng, drawn, next_flip, log_flip_stay, first, stop, horizon)
+        # The paths short of stop, and their period (counted from first), code and state.
+        live = np.arange(n_paths)
+        t = np.zeros(n_paths, dtype=np.int64)
+        c, s = code.copy(), state.copy()
+        while live.size:
+            due = flips[cursor] == t
+            cursor += due
+            s ^= due
+            new, t, changed, starts = _events(table, message_rng, c, s, t, flips[cursor], visits, runs)
+            # Credit the level run that ends where the path enters a new level.
+            paths = live[changed]
+            starts += first
+            totals[paths] += level[c[changed]] * (cum_weights[starts] - cum_weights[since[paths]])
+            since[paths] = starts
+            c = new
+            going = t < stop - first
+            if not going.all():
+                done = ~going
+                code[live[done]] = c[done]
+                state[live[done]] = s[done]
+                live, cursor, s, c, t = live[going], cursor[going], s[going], c[going], t[going]
 
-    return float(np.sum(totals)), float(np.sum(totals * totals)), occupancy
+    totals += level[code] * (cum_weights[horizon] - cum_weights[since])
+    mean = float(np.sum(totals)) / n_paths
+    occupancy = visits.reshape(-1, 2) + np.cumsum(runs[:-2].reshape(-1, 2), axis=0)
+    return n_paths, mean, float(np.sum(np.square(totals - mean))), occupancy
 
 
 def _exact_bin_sums(values: np.ndarray, counts: np.ndarray, bins: np.ndarray) -> list[float]:
@@ -363,6 +486,7 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
         )
 
     weights = (1.0 - x) * x ** np.arange(config.horizon)
+    cum_weights = np.concatenate([[0.0], np.cumsum(weights)])
     n_chunks = (config.n_paths + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(config.seed).spawn(n_chunks)
     # Even sizes (differing by at most one) keep the threads equally loaded.
@@ -372,7 +496,7 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     table = _belief_table(problem, policy, config)
 
     def job(i: int):
-        return _run_chunk(table, config, sizes[i], children[i], weights)
+        return _run_chunk(table, config, sizes[i], children[i], cum_weights)
 
     threads = min(_thread_count(), n_chunks)
     if threads > 1:
@@ -381,21 +505,21 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     else:
         outputs = [job(i) for i in range(n_chunks)]
 
-    total = math.fsum(out[0] for out in outputs)
-    total_sq = math.fsum(out[1] for out in outputs)
-    occupancy = sum(out[2] for out in outputs).reshape(-1, 4)[:, ::2]  # (code, state)
+    # Chan, Golub and LeVeque's pairwise update, in chunk order.
+    n, mean, squares = 0, 0.0, 0.0
+    for count, chunk_mean, chunk_squares, _ in outputs:
+        step = chunk_mean - mean
+        share = count / (n + count)
+        mean += step * share
+        squares += chunk_squares + step * step * n * share
+        n += count
+    occupancy = sum(out[3] for out in outputs)  # (code, state)
     visits = occupancy.sum(axis=1)
     counts = np.bincount(table.bin, weights=visits, minlength=_N_BINS)  # exact below 2**53
     state_one = np.bincount(table.bin, weights=occupancy[:, 1], minlength=_N_BINS)
     belief_sum = _exact_bin_sums(table.belief, visits, table.bin)
 
-    n = config.n_paths
-    mean = total / n
-    if n > 1:
-        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-        std_error = math.sqrt(variance / n)
-    else:
-        std_error = math.nan
+    std_error = math.sqrt(squares / (n - 1) / n) if n > 1 else math.nan
     # The floor is the same on every path, so it moves the mean only.
     mean += tail_weight * min(levels)
     edges = np.linspace(0.0, 1.0, _N_BINS + 1)

@@ -187,8 +187,14 @@ def test_simulate_payload_fields(tmp_path, canon_config):
     assert payload["config"] == {"delta": 0.02, "horizon": 200, "n_paths": 500,
                                  "seed": 5, "initial_belief": 0.3}
     assert 0.0 < payload["mean_discounted_payoff"] < 1.0
-    assert payload["std_error"] > 0.0
+    # Silence gives every path the same payoff, so the spread is rounding at most.
+    assert payload["std_error"] <= 1e-12
     assert all(b["count"] > 0 for b in payload["calibration"])
+    code = main(["simulate", "--config", canon_config, "--out", str(out),
+                 "--policy", "sigma_star", "--delta", "0.02", "--horizon", "200",
+                 "--paths", "500", "--belief", "0.3", "--seed", "5"])
+    assert code == 0
+    assert json.loads(out.read_text())["std_error"] > 0.0
 
 
 def test_simulate_defaults_to_stationary_belief(tmp_path, canon_config):
@@ -327,6 +333,18 @@ def test_oracle_failure_exit_code(tmp_path, canon_config, capsys):
     assert code == 5
     assert capsys.readouterr().err.startswith(
         "oracle error: payoff interval [0.0, 0.2) has only 2 grid points")
+
+
+def test_oracle_names_the_top_interval_closed(tmp_path, capsys):
+    # The top interval's count includes the point at 1, so it reads [0.9, 1.0].
+    config = tmp_path / "top.json"
+    config.write_text(json.dumps(dict(CANON_RAW, cuts=[0.0, 0.5, 0.9, 1.0],
+                                      levels=[0.0, 0.6, 1.0])))
+    code = main(["oracle", "--config", str(config), "--out", str(tmp_path / "o.csv"),
+                 "--grid-gap", "0.25"])
+    assert code == 5
+    assert capsys.readouterr().err.startswith(
+        "oracle error: payoff interval [0.9, 1.0] has only 2 grid points")
 
 
 @pytest.mark.parametrize("command", ["oracle", "sweep"])

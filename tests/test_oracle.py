@@ -67,7 +67,7 @@ def test_grid_counts_the_top_interval_closed_at_one():
     problem = parse_problem(dict(CANON_RAW, cuts=[0.0, 0.5, 1.0], levels=[0.0, 1.0]))
     assert len(make_grid(problem, 0.25)) == 6
     problem = parse_problem(dict(CANON_RAW, cuts=[0.0, 0.5, 0.9, 1.0], levels=[0.0, 0.6, 1.0]))
-    with pytest.raises(OracleError, match=r"interval \[0.9, 1.0\) has only 2 grid points"):
+    with pytest.raises(OracleError, match=r"interval \[0.9, 1.0\] has only 2 grid points"):
         make_grid(problem, 0.25)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -16,7 +15,7 @@ from persuade import sim
 from persuade.dynamics import drift_map
 from persuade.errors import OutOfRange, SimulationError
 from persuade.model import parse_problem
-from persuade.oracle import myopic_policy, slide_only_policy
+from persuade.oracle import full_disclosure_policy, myopic_policy, slide_only_policy
 from persuade.sim import (
     SimConfig,
     compare_policies,
@@ -131,18 +130,18 @@ def test_single_path_has_no_std_error(flat_problem):
     assert math.isfinite(res.mean_discounted_payoff)
 
 
-# --- table-driven step against a per-path float loop ----------------------------
+# --- event loop against a per-path float loop ---------------------------------
 
 def _reference_states(problem, config, state_rng):
-    """Hidden states per (period, path), post-flip, from geometric holding times.
+    """Hidden states and flips per (period, path), post-flip, from geometric holding times.
 
     Each path draws its initial state, then the period of its first flip
     (one uniform per holding time, by inversion).  Within each block of
-    sim._FLIP_BLOCK periods, rounds of holding times are drawn, in path
-    order, for every path whose next flip still falls in the block.  A
-    path's state is its initial state XOR the parity of its flips so far.
+    sim._BLOCK periods, rounds of holding times are drawn, in path order,
+    for every path whose next flip still falls in the block.  A path's state
+    is its initial state XOR the parity of its flips so far.
     """
-    n_paths, horizon, block = config.n_paths, config.horizon, sim._FLIP_BLOCK
+    n_paths, horizon, block = config.n_paths, config.horizon, sim._BLOCK
     drift0, drift_slope = drift_map(problem.rates, config.delta)
     prob_up, prob_down = drift0, 1.0 - drift0 - drift_slope
 
@@ -161,72 +160,150 @@ def _reference_states(problem, config, state_rng):
             flips[next_flip[due], due] = True
             state[due] = ~state[due]
             next_flip[due] += holding_times(state[due])
-    return initial ^ np.logical_xor.accumulate(flips, axis=0)
+    return initial ^ np.logical_xor.accumulate(flips, axis=0), flips
 
 
-def _float_loop_reference(problem, policy, config):
-    """One chunk simulated with a float belief per path, region by region.
+def _chunk_generators(config, chunk=0, n_chunks=1):
+    """The state and message generators of one chunk of a run."""
+    seed_seq = np.random.SeedSequence(config.seed).spawn(n_chunks)[chunk]
+    return [np.random.Generator(np.random.PCG64(child)) for child in seed_seq.spawn(2)]
 
-    Returns per-path discounted totals and the calibration tallies, for an
-    exact comparison with simulate().  States come from the chunk's state
-    generator, messages from its message generator, one uniform per path and
-    period.  Each bin's belief sum is summed exactly over (belief, visit
-    count) pairs and rounded once.
+
+def _reference_totals(problem, policy, config, chunk=0, n_chunks=1):
+    """Per-path payoffs of one chunk by the float event loop, with its states and beliefs."""
+    state_rng, message_rng = _chunk_generators(config, chunk, n_chunks)
+    states, flips = _reference_states(problem, config, state_rng)
+    beliefs = _event_beliefs(problem, policy, config, states, flips, message_rng)
+    return _credited_totals(problem, config, beliefs), states, beliefs
+
+
+def _event_beliefs(problem, policy, config, states, flips, message_rng):
+    """Post-message belief per (period, path), with a float belief per path.
+
+    Within each block a path moves event by event, never past its next state
+    flip or the block end, and round k moves every path short of the block
+    end by its k-th event:
+    - where the policy slides the drifted belief, a drift run: one period,
+      then more while the next drifted belief slides at the same payoff level;
+    - at a split target (the initial belief or a message's posterior) that
+      the split of its drifted belief returns to, a hold: one uniform u
+      gives floor(log(1 - u) / log(1 - P(leave))) returning periods, then a
+      period that leaves to the other target;
+    - any other split: one period, high message when u < beta of the state.
+    The paths that split in a round draw one uniform each, in path order.
     """
-    n_paths, horizon = config.n_paths, config.horizon
-    seed_seq = np.random.SeedSequence(config.seed).spawn(1)[0]
-    state_rng, message_rng = (np.random.Generator(np.random.PCG64(child))
-                              for child in seed_seq.spawn(2))
-    states = _reference_states(problem, config, state_rng)
+    n_paths, horizon, block = config.n_paths, config.horizon, sim._BLOCK
     drift0, drift_slope = drift_map(problem.rates, config.delta)
-    x = math.exp(-problem.discounting.r * config.delta)
-    weights = (1.0 - x) * x ** np.arange(horizon)
-    n_bins = 21
+    level = problem.payoff.value
+    splits = np.array([r.action == "split" for r in policy.regions])
+    lows = np.array([r.low_target if r.action == "split" else np.nan for r in policy.regions])
+    highs = np.array([r.high_target if r.action == "split" else np.nan for r in policy.regions])
 
+    # Written where an event sets the belief, then carried forward.
+    beliefs = np.full((horizon, n_paths), np.nan)
     belief = np.full(n_paths, float(config.initial_belief))
-    totals = np.zeros(n_paths)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    state_one = np.zeros(n_bins, dtype=np.int64)
-    visits = Counter()
-    for n in range(horizon):
-        message_draw = message_rng.random(n_paths)
-        state = states[n]
-        belief = drift0 + drift_slope * belief
-        region_idx = policy.region_index(belief)
-        for k, region in enumerate(policy.regions):
-            mask = region_idx == k
-            if region.action != "split" or not mask.any():
-                continue
-            lo, hi = region.low_target, region.high_target
-            q = belief[mask]
+    at_atom = np.ones(n_paths, dtype=bool)
+    period = np.zeros(n_paths, dtype=np.int64)
+    for first in range(0, horizon, block):
+        stop = min(first + block, horizon)
+        # after[n - first, j]: path j's first flip after period n, or stop.
+        marks = np.where(flips[first + 1:stop], np.arange(first + 1, stop)[:, None], stop)
+        after = np.vstack([np.minimum.accumulate(marks[::-1], axis=0)[::-1],
+                           np.full((1, n_paths), stop)])
+        while (live := np.flatnonzero(period < stop)).size:
+            n = period[live]
+            limit = after[n - first, live]
+            drifted = drift0 + drift_slope * belief[live]
+            region = policy.region_index(drifted)
+            splitting = splits[region]
+
+            slide, k, q = live[~splitting], n[~splitting].copy(), drifted[~splitting]
+            run_level, stop_at = level(q), limit[~splitting]
+            going = np.ones(slide.size, dtype=bool)
+            while going.any():
+                beliefs[k[going], slide[going]] = q[going]
+                belief[slide[going]] = q[going]
+                k[going] += 1
+                step = drift0 + drift_slope * q
+                going &= (k < stop_at) & ~splits[policy.region_index(step)] \
+                    & (level(step) == run_level)
+                q = np.where(going, step, q)
+            period[slide] = k
+            at_atom[slide] = False
+
+            split = live[splitting]
+            draws = message_rng.random(split.size)
+            q, n, limit = drifted[splitting], n[splitting], limit[splitting]
+            lo, hi = lows[region[splitting]], highs[region[splitting]]
             beta1 = hi * (q - lo) / (q * (hi - lo))
             beta0 = (1.0 - hi) * (q - lo) / ((1.0 - q) * (hi - lo))
-            high = message_draw[mask] < np.where(state[mask], beta1, beta0)
-            belief[mask] = np.where(high, hi, lo)
-        totals += weights[n] * problem.payoff.value(belief)
-        bins = np.clip((belief * n_bins).astype(np.int64), 0, n_bins - 1)
-        counts += np.bincount(bins, minlength=n_bins)
-        state_one += np.bincount(bins[state], minlength=n_bins)
-        visits.update(dict(zip(*np.unique(belief, return_counts=True))))
+            beta = np.where(states[n, split], beta1, beta0)
+            here = belief[split]
+            hold = at_atom[split] & ((here == lo) | (here == hi))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_stay = np.log1p(-np.where(here == lo, beta, 1.0 - beta))
+                stays = np.floor(np.log1p(-draws) / log_stay)
+            room = limit - n
+            left = hold & (stays < room)
+            stays = np.where(hold, np.fmin(stays, room), 0).astype(np.int64)
+            beliefs[n[hold], split[hold]] = here[hold]
+            target = np.where(hold, np.where(here == lo, hi, lo), np.where(draws < beta, hi, lo))
+            moves = ~hold | left
+            beliefs[(n + stays)[moves], split[moves]] = target[moves]
+            belief[split[moves]] = target[moves]
+            at_atom[split] = True
+            period[split] = n + stays + moves
+    filled = np.where(np.isnan(beliefs), 0, np.arange(horizon)[:, None])
+    return beliefs[np.maximum.accumulate(filled, axis=0), np.arange(n_paths)]
+
+
+def _credited_totals(problem, config, beliefs):
+    """Per-path payoff by the crediting rule: level x (W[end] - W[start]) per level run."""
+    x = math.exp(-problem.discounting.r * config.delta)
+    cum_weights = np.concatenate([[0.0], np.cumsum((1.0 - x) * x ** np.arange(config.horizon))])
+    levels = problem.payoff.value(beliefs)
+    totals = np.zeros(config.n_paths)
+    since = np.zeros(config.n_paths, dtype=np.int64)
+    for n in range(1, config.horizon):
+        changed = np.flatnonzero(levels[n] != levels[n - 1])
+        totals[changed] += levels[n - 1, changed] * (cum_weights[n] - cum_weights[since[changed]])
+        since[changed] = n
+    return totals + levels[-1] * (cum_weights[config.horizon] - cum_weights[since])
+
+
+def _calibration(beliefs, states):
+    """Per-bin visits, state-one visits and exact belief sums of per-period beliefs."""
+    n_bins = 21
+    bins = np.clip((beliefs * n_bins).astype(np.int64), 0, n_bins - 1)
+    counts = np.bincount(bins.ravel(), minlength=n_bins)
+    state_one = np.bincount(bins[states], minlength=n_bins)
     exact = [Fraction(0)] * n_bins
-    for b, c in visits.items():
+    for b, c in zip(*np.unique(beliefs, return_counts=True)):
         exact[min(int(b * n_bins), n_bins - 1)] += Fraction(b) * int(c)
-    belief_sum = np.array([float(total) for total in exact])
-    return totals, counts, state_one, belief_sum
+    return counts.tolist(), state_one.tolist(), [float(total) for total in exact]
+
+
+def _assert_calibration(res, beliefs, states):
+    counts, state_one, belief_sum = _calibration(beliefs, states)
+    assert [b.count for b in res.calibration] == counts
+    assert [b.state_one for b in res.calibration] == state_one
+    assert [b.belief_sum for b in res.calibration] == belief_sum
 
 
 def _assert_matches_float_loop(problem, policy, config, max_tail=sim.DEFAULT_MAX_TAIL):
+    """simulate() on one chunk against the float event loop on the same generators."""
     res = simulate(problem, policy, config, max_tail=max_tail)
-    totals, counts, state_one, belief_sum = _float_loop_reference(problem, policy, config)
+    totals, states, beliefs = _reference_totals(problem, policy, config)
     assert res.mean_discounted_payoff == float(np.sum(totals)) / config.n_paths
-    assert [b.count for b in res.calibration] == counts.tolist()
-    assert [b.state_one for b in res.calibration] == state_one.tolist()
-    assert [b.belief_sum for b in res.calibration] == belief_sum.tolist()
+    _assert_calibration(res, beliefs, states)
 
 
+# At (sigma_star, 0.4) the initial belief is a split target, so a path can
+# hold from its first period.
 @pytest.mark.parametrize("case,p0", [
     ("sigma_star", 0.1), ("sigma_star", 0.5), ("sigma_star", 0.62),
     ("sigma_star", 0.9), ("myopic", 0.7), ("slide_only", 0.3), ("pinned", 0.55),
+    ("full_disclosure", 0.4), ("sigma_star", 0.4),
 ])
 def test_table_step_matches_float_loop(case, p0, canon_problem, canon_solution,
                                        pinned_problem):
@@ -236,23 +313,57 @@ def test_table_step_matches_float_loop(case, p0, canon_problem, canon_solution,
         "myopic": myopic_policy(canon_problem),
         "slide_only": slide_only_policy(canon_problem),
         "pinned": solve(pinned_problem).policy if case == "pinned" else None,
+        # Holds at 0 and 1 that the path never leaves in one of the states.
+        "full_disclosure": full_disclosure_policy(canon_problem),
     }[case]
     config = SimConfig(delta=0.01, horizon=300, n_paths=2000, seed=19, initial_belief=p0)
     _assert_matches_float_loop(problem, policy, config)
 
 
 @pytest.mark.parametrize("horizon,n_paths", [
-    (5, 300), (sim._FLIP_BLOCK, 300), (20 * sim._FLIP_BLOCK, 700), (333, 1), (2, 1),
+    (5, 300), (sim._BLOCK, 300), (3 * sim._BLOCK, 700), (333, 1), (2, 1),
+    (sim._BLOCK + 333, 300),
 ])
 def test_table_step_matches_float_loop_at_block_edges(horizon, n_paths, canon_problem,
                                                       canon_solution):
-    # Horizons shorter than, equal to, a multiple of and off a scheduling
-    # block, and single paths; the fast chain flips several times per block.
+    # Horizons shorter than, equal to, a multiple of and off a block, and
+    # single paths; the fast chain flips many times per block.
     config = SimConfig(delta=0.01, horizon=horizon, n_paths=n_paths, seed=31,
                        initial_belief=0.45)
     _assert_matches_float_loop(canon_problem, canon_solution.policy, config, max_tail=math.inf)
     fast = parse_problem(dict(CANON_RAW, lambda0=30.0, lambda1=20.0))
     _assert_matches_float_loop(fast, myopic_policy(fast), config, max_tail=math.inf)
+
+
+def test_chunks_combine_to_the_mean_and_spread_of_all_paths(canon_problem, canon_solution,
+                                                            monkeypatch):
+    # Three chunks of 3000 paths, each on its own generators; the pairwise
+    # combination must give the mean and standard error of all 9000 payoffs.
+    monkeypatch.setattr(sim, "_CHUNK", 4096)
+    config = SimConfig(delta=0.01, horizon=300, n_paths=9000, seed=43, initial_belief=0.3)
+    res = simulate(canon_problem, canon_solution.policy, config)
+    chunk = replace(config, n_paths=3000)
+    totals = np.concatenate([_reference_totals(canon_problem, canon_solution.policy, chunk, i, 3)[0]
+                             for i in range(3)])
+    assert res.mean_discounted_payoff == pytest.approx(np.mean(totals), rel=1e-14)
+    assert res.std_error == pytest.approx(np.std(totals, ddof=1) / math.sqrt(totals.size), rel=1e-12)
+
+
+@pytest.mark.parametrize("p0", [0.1, 0.3, 0.9])
+def test_silent_policy_tallies_match_per_period_loop(canon_problem, p0):
+    # No messages: the per-period loop drifts every path one step a period,
+    # on the same state stream, and must give the event loop's tallies.
+    config = SimConfig(delta=0.01, horizon=sim._BLOCK + 500, n_paths=300, seed=37,
+                       initial_belief=p0)
+    res = simulate(canon_problem, slide_only_policy(canon_problem), config)
+    states, _ = _reference_states(canon_problem, config, _chunk_generators(config)[0])
+    drift0, drift_slope = drift_map(canon_problem.rates, config.delta)
+    beliefs = np.empty((config.horizon, config.n_paths))
+    belief = np.full(config.n_paths, p0)
+    for n in range(config.horizon):
+        belief = drift0 + drift_slope * belief
+        beliefs[n] = belief
+    _assert_calibration(res, beliefs, states)
 
 
 @pytest.mark.parametrize("regions,p0", [
