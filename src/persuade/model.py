@@ -206,11 +206,28 @@ def _check_envelope(cuts: tuple[float, ...], levels: tuple[float, ...]) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Problem:
-    """A validated instance: rates, discounting, and the step payoff."""
+    """A validated instance: rates, discounting, and the step payoff.
+
+    pivot is the index k of the payoff interval containing p*:
+    cuts[k] <= p* < cuts[k+1].  When p* sits within PIN_TOLERANCE of a cut,
+    that cut's interval wins (the pinned regime).
+    """
 
     rates: MarkovRates
     discounting: Discounting
     payoff: StepPayoff
+    pivot: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Cuts are more than PIN_TOLERANCE apart, so only the cut just above
+        # p*'s interval can be near p* besides the interval's own left cut.
+        p_star = self.stationary_belief
+        cuts = self.payoff.cuts
+        k = _locate(p_star, self.payoff._starts)[1]
+        if abs(p_star - cuts[k]) > PIN_TOLERANCE and k + 1 < self.payoff.n_steps \
+                and abs(p_star - cuts[k + 1]) <= PIN_TOLERANCE:
+            k += 1
+        object.__setattr__(self, "pivot", k)
 
     @property
     def stationary_belief(self) -> float:
@@ -220,20 +237,6 @@ class Problem:
     def discount_ratio(self) -> float:
         """mu = r / (lambda0 + lambda1)."""
         return self.discounting.r / self.rates.switch_rate
-
-    @property
-    def pivot(self) -> int:
-        """Index k of the payoff interval containing p*: cuts[k] <= p* < cuts[k+1].
-
-        When p* sits within PIN_TOLERANCE of a cut, that cut's interval wins
-        (the pinned regime).
-        """
-        p_star = self.stationary_belief
-        cuts = self.payoff.cuts
-        for i, c in enumerate(cuts[:-1]):
-            if abs(p_star - c) <= PIN_TOLERANCE:
-                return i
-        return _locate(p_star, self.payoff._starts)[1]
 
     @property
     def pinned(self) -> bool:

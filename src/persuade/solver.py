@@ -160,12 +160,17 @@ class PiecewiseValue:
         x, idx = _locate(p, self._los, side)
         if isinstance(x, float):
             return float(method(self.segments[idx], x))
-        out = np.empty_like(x)
-        for k, seg in enumerate(self.segments):
-            mask = idx == k
-            if mask.any():
-                out[mask] = method(seg, x[mask])
-        return out
+        # A stable sort keeps each segment's beliefs in their input order, so
+        # every segment sees the same array as a per-segment mask would give.
+        flat, idx = x.ravel(), idx.ravel()
+        order = np.argsort(idx, kind="stable")
+        bounds = np.searchsorted(idx[order], np.arange(len(self.segments) + 1)).tolist()
+        out = np.empty_like(flat)
+        for seg, a, b in zip(self.segments, bounds, bounds[1:]):
+            if a < b:
+                at = order[a:b]
+                out[at] = method(seg, flat[at])
+        return out.reshape(x.shape)
 
     def junction_gaps(self):
         """(belief, value jump) at each interior junction."""
@@ -229,7 +234,7 @@ class PolicyRegion:
 class MarkovPolicy:
     """Belief-stationary policy: ordered regions partitioning [0, 1]."""
 
-    __slots__ = ("regions", "_starts")
+    __slots__ = ("regions", "_starts", "_targets")
 
     def __init__(self, regions):
         regions = tuple(regions)
@@ -244,6 +249,8 @@ class MarkovPolicy:
                 raise ProblemValidationError([f"regions leave a gap between {a.hi} and {b.lo}"])
         self.regions = regions
         self._starts = np.array([r.lo for r in regions])
+        self._targets = np.array([(r.low_target, r.high_target) if r.action == "split"
+                                  else (np.nan, np.nan) for r in regions])
 
     def region_index(self, p):
         """Region index per belief; the final region is closed at 1."""
@@ -254,9 +261,7 @@ class MarkovPolicy:
 
         Region validation makes low < high wherever the policy splits.
         """
-        idx = self.region_index(p)
-        low, high = np.array([(r.low_target, r.high_target) if r.action == "split"
-                              else (np.nan, np.nan) for r in self.regions])[idx].T
+        low, high = self._targets[self.region_index(p)].T
         x = np.asarray(p, dtype=float)
         return np.where(np.isnan(low), x, low), np.where(np.isnan(high), x, high)
 
@@ -436,35 +441,37 @@ class VerificationReport:
         return not self.violations
 
 
-def _residual(problem, value, arr, side):
-    """Balance residual v'(p)(p - p*) + mu (v(p) - u(p)), side-consistent.
-
-    The left derivative pairs with the left limit of u (the step's value just
-    below p), the right derivative with u(p) itself.
-    """
-    p_star = problem.stationary_belief
-    mu = problem.discount_ratio
-    deriv = value.derivative(arr, side=side)
-    payoff = problem.payoff.value(arr) if side == "right" else problem.payoff.left_value(arr)
-    return deriv * (arr - p_star) + mu * (value.value(arr) - payoff)
-
-
 def verify_solution(problem: Problem, solution: Solution,
                     n_points: int = 10_000) -> VerificationReport:
-    """Check the optimality conditions on a dense grid; never raises.
+    """Check the optimality conditions on a grid of beliefs; never raises.
 
-    Conditions: value at p* at least the flow there; balance residual
-    nonnegative everywhere (both derivative sides); residual zero at the
-    binding set (cuts up to the center, the center's right cut, every cutoff,
-    and belief 1); concavity; monotonicity; strict value gap below the flow
-    level at every cut above the center; smooth pasting at cutoffs; the
-    corner condition (no slope jump) at every cut a pasted line ends on.  p* is
-    exempt from the balance and binding checks (a kink is allowed there in
-    the pinned regime).
+    The grid holds n_points even beliefs, every cut, every cutoff and each
+    interior cut less 1e-9.  v, its two one-sided derivatives, u and the left
+    limit of u are evaluated once on it, and each condition is read off those
+    arrays, at every grid point or at the grid points it names:
+
+    * value floor: v(p*) >= u(p*), at p* itself;
+    * continuity: no value jump at any segment junction;
+    * balance: the residual v'(p)(p - p*) + mu (v(p) - u(p)) is nonnegative
+      at every grid point, with the right derivative and u(p), and with the
+      left derivative and the left limit u(p-);
+    * binding: the residual is zero at the cuts up to the center's right cut
+      (right side), and at every cutoff and at belief 1 (left side);
+    * concavity and monotonicity: the right derivative does not rise from
+      one grid point to the next and is never negative, so a kink is seen
+      only where it changes the sampled right derivatives;
+    * interior gap: v is strictly below the flow level at every cut above
+      the center;
+    * smooth pasting at every cutoff, and the corner condition at every cut
+      a pasted line ends on: no jump between the one-sided derivatives.
+
+    p* is exempt from the balance and binding checks (a kink is allowed there
+    in the pinned regime).
     """
     value = solution.value
     payoff = problem.payoff
     p_star = problem.stationary_belief
+    mu = problem.discount_ratio
     k = problem.pivot
     cuts = payoff.cuts
     violations: list[Violation] = []
@@ -483,49 +490,53 @@ def verify_solution(problem: Problem, solution: Solution,
         np.array(solution.cutoffs, dtype=float),
         np.array([c - 1e-9 for c in cuts[1:-1]]),
     ]))
+    cut_at = np.searchsorted(grid, cuts)
+    cutoff_at = np.searchsorted(grid, solution.cutoffs)
+    v = value.value(grid)
+    slope = {side: value.derivative(grid, side) for side in ("right", "left")}
+    # The left derivative pairs with the left limit of u (the step's value
+    # just below p), the right derivative with u(p) itself.
+    residual = {side: slope[side] * (grid - p_star) + mu * (v - flow)
+                for side, flow in (("right", payoff.value(grid)),
+                                   ("left", payoff.left_value(grid)))}
+
     worst_deficit = 0.0
-    for side, pts in (("right", grid), ("left", grid[grid > 0.0])):
-        res = _residual(problem, value, pts, side)
-        keep = np.abs(pts - p_star) > PIN_TOLERANCE
-        pts, res = pts[keep], res[keep]
+    off_p_star = np.abs(grid - p_star) > PIN_TOLERANCE
+    for side, keep in (("right", off_p_star), ("left", off_p_star & (grid > 0.0))):
+        pts, res = grid[keep], residual[side][keep]
         worst_deficit = max(worst_deficit, -float(res.min(initial=0.0)))
         for i in np.flatnonzero(res < -_VERIFY_TOL):
             violations.append(Violation(f"balance_{side}", float(pts[i]), float(-res[i])))
 
-    binding = [(c, "right") for c in cuts[:-1][:k + 2]]
-    binding += [(q, "left") for q in (*solution.cutoffs, 1.0)]
+    binding = [(c, residual["right"][i]) for c, i in zip(cuts[:-1][:k + 2], cut_at)]
+    binding += [(q, residual["left"][i])
+                for q, i in zip((*solution.cutoffs, 1.0), (*cutoff_at, grid.size - 1))]
     max_binding = 0.0
-    for p, side in binding:
+    for p, res in binding:
         if abs(p - p_star) <= PIN_TOLERANCE:
             continue
-        gap = abs(float(_residual(problem, value, np.asarray(p), side)))
+        gap = abs(float(res))
         max_binding = max(max_binding, gap)
         if gap > _VERIFY_TOL:
             violations.append(Violation("binding", p, gap))
 
-    # Concavity and monotonicity along the grid (right derivatives), plus
-    # junction kink direction.
-    deriv_right = value.derivative(grid, "right")
-    rise = np.diff(deriv_right)
+    rise = np.diff(slope["right"])
     for i in np.flatnonzero(rise > _CONCAVITY_TOL):
         violations.append(Violation("concavity", float(grid[i + 1]), float(rise[i])))
-    if deriv_right.min() < -_MONOTONE_TOL:
-        worst = grid[int(np.argmin(deriv_right))]
-        violations.append(Violation("monotonicity", float(worst), float(-deriv_right.min())))
+    if slope["right"].min() < -_MONOTONE_TOL:
+        worst = grid[int(np.argmin(slope["right"]))]
+        violations.append(Violation("monotonicity", float(worst), float(-slope["right"].min())))
 
-    for j in range(1, problem.intervals_above):
-        c = cuts[k + j]
-        gap = payoff.levels[k + j] - value.value(c)
+    for c, h, i in zip(cuts[k + 1:-1], payoff.levels[k + 1:], cut_at[k + 1:-1]):
+        gap = h - float(v[i])
         if gap <= 0.0:
             violations.append(Violation("interior_gap", c, -gap))
 
-    # C^1 at every cutoff, and at every cut a pasted line ends on (the
-    # corner condition, which fixes the cutoff).
     max_pasting = 0.0
-    smooth = [(q, "smooth_pasting") for q in solution.cutoffs]
-    smooth += [(c, "corner") for c in cuts[k + 2:-1]]
-    for p, condition in smooth:
-        jump = abs(value.derivative(p, "left") - value.derivative(p, "right"))
+    smooth = [(q, "smooth_pasting", i) for q, i in zip(solution.cutoffs, cutoff_at)]
+    smooth += [(c, "corner", i) for c, i in zip(cuts[k + 2:-1], cut_at[k + 2:-1])]
+    for p, condition, i in smooth:
+        jump = abs(float(slope["left"][i]) - float(slope["right"][i]))
         max_pasting = max(max_pasting, jump)
         if jump > _VERIFY_TOL:
             violations.append(Violation(condition, p, jump))

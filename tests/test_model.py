@@ -11,9 +11,11 @@ import pytest
 
 from persuade.errors import OutOfRange, ProblemValidationError
 from persuade.model import (
+    PIN_TOLERANCE,
     Discounting,
     MarkovRates,
     StepPayoff,
+    _locate,
     load_problem,
     parse_problem,
     problem_to_dict,
@@ -21,7 +23,7 @@ from persuade.model import (
 
 from persuade.oracle import OracleResult, make_grid
 
-from conftest import CANON_RAW, ONE_ABOVE_RAW, PINNED_RAW, random_instance
+from conftest import CANON_RAW, ONE_ABOVE_RAW, PINNED_RAW, canon_variant, random_instance
 
 
 # --- rates and discounting ----------------------------------------------------
@@ -204,6 +206,23 @@ def test_pivot_one_above_instance():
     assert prob.pivot == 1
     assert prob.intervals_above == 1
     assert not prob.pinned
+
+
+def loop_pivot(problem):
+    """The pivot by a loop over every cut: the first cut within PIN_TOLERANCE of p* wins."""
+    p_star = problem.stationary_belief
+    for i, c in enumerate(problem.payoff.cuts[:-1]):
+        if abs(p_star - c) <= PIN_TOLERANCE:
+            return i
+    return _locate(p_star, problem.payoff._starts)[1]
+
+
+@pytest.mark.parametrize("cut", CANON_RAW["cuts"])
+def test_pivot_matches_loop_next_to_every_cut(cut):
+    offsets = [0.0] + [sign * gap for gap in (5e-13, 1e-12, 2e-12, 1e-9) for sign in (-1.0, 1.0)]
+    for p_star in [cut + offset for offset in offsets if 0.0 < cut + offset < 1.0]:
+        problem = parse_problem(canon_variant(p_star))
+        assert problem.pivot == loop_pivot(problem), p_star
 
 
 # --- parsing and serialization ------------------------------------------------

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from persuade.dynamics import discounted_time_split
 from persuade.errors import ProblemValidationError, SolverError
-from persuade.model import parse_problem
+from persuade.model import _locate, parse_problem
 from persuade.oracle import full_disclosure_policy, myopic_policy, slide_only_policy
 from persuade.solver import (
     MarkovPolicy,
@@ -637,3 +637,61 @@ def test_cutoff_matches_power_form_root():
 
             root = brentq(residual, arc.lo, p_next, xtol=1e-15)
             assert abs(arc.hi - root) <= 1e-12
+
+
+# --- grouped evaluation and many steps ----------------------------------------
+
+def masked_evaluate(value, p, side, method):
+    """method on the segment holding each belief, one full-length mask per segment."""
+    x, idx = _locate(p, value._los, side)
+    out = np.empty_like(x)
+    for k, seg in enumerate(value.segments):
+        mask = idx == k
+        if mask.any():
+            out[mask] = method(seg, x[mask])
+    return out
+
+
+def test_grouped_evaluation_matches_masked_reference():
+    rng = np.random.default_rng(53)
+    problems = [parse_problem(raw) for raw in (CANON_RAW, PINNED_RAW, FLAT_RAW)]
+    problems += [random_instance(rng) for _ in range(100)]
+    for problem in problems:
+        value = solve(problem).value
+        junctions = [seg.lo for seg in value.segments] + [1.0]
+        draws = rng.uniform(0.0, 1.0, 300)
+        p = rng.permutation(np.concatenate([draws, draws[:50], junctions, junctions, [0.0, 1.0]]))
+        for side, method, got in (
+                ("right", ValueSegment.value_at, value.value(p)),
+                ("right", ValueSegment.derivative_at, value.derivative(p, "right")),
+                ("left", ValueSegment.derivative_at, value.derivative(p, "left"))):
+            assert got.tobytes() == masked_evaluate(value, p, side, method).tobytes()
+
+
+def many_step_problem(n_steps):
+    """Uniform cuts with levels g(c) = 1 - (1 - c)^2 at the left cuts; p* = 0.37, mu = 0.5."""
+    cuts = np.linspace(0.0, 1.0, n_steps + 1)
+    return parse_problem({"lambda0": 0.37, "lambda1": 0.63, "r": 0.5, "cuts": cuts.tolist(),
+                          "levels": (1.0 - (1.0 - cuts[:-1]) ** 2).tolist()})
+
+
+def test_many_steps_verify_clean_with_work_flat_in_steps(monkeypatch):
+    # verify_solution looks beliefs up a fixed number of times, however many
+    # segments the value has; the 10^4-step instance also solves cleanly.
+    lookups = []
+
+    def counted(*args, **kwargs):
+        lookups.append(args)
+        return _locate(*args, **kwargs)
+
+    monkeypatch.setattr("persuade.model._locate", counted)
+    monkeypatch.setattr("persuade.solver._locate", counted)
+    counts = []
+    for n_steps in (1_000, 10_000):
+        problem = many_step_problem(n_steps)
+        solution = solve(problem)
+        lookups.clear()
+        report = verify_solution(problem, solution)
+        assert report.ok, [dataclasses.astuple(v) for v in report.violations[:5]]
+        counts.append(len(lookups))
+    assert counts[0] == counts[1]
