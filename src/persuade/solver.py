@@ -129,12 +129,12 @@ class ValueSegment:
 class PiecewiseValue:
     """Ordered segments covering [0, 1].
 
-    Construction checks only the structure (ordering, coverage), so that
-    deliberately broken values can still be fed to verify_solution; the
-    solver additionally runs check_shape on everything it emits.
+    Construction checks only the structure (order, coverage, no empty
+    segment), so that deliberately broken values can still be fed to
+    verify_solution; the solver additionally runs check_shape on its output.
     """
 
-    __slots__ = ("segments", "_los")
+    __slots__ = ("segments", "_los", "_ends")
 
     def __init__(self, segments):
         segments = tuple(segments)
@@ -145,8 +145,15 @@ class PiecewiseValue:
         for a, b in zip(segments, segments[1:]):
             if a.hi != b.lo:
                 raise SolverError(f"segment gap between {a.hi} and {b.lo}")
+        for seg in segments:
+            if not seg.lo < seg.hi:
+                raise SolverError(f"segment [{seg.lo}, {seg.hi}] is empty")
         self.segments = segments
         self._los = np.array([s.lo for s in segments])
+        # lo, hi, v(lo), v(hi), v'(lo), v'(hi) per segment: the shape rules read only these.
+        self._ends = np.array([(s.lo, s.hi, float(s.value_at(s.lo)), float(s.value_at(s.hi)),
+                                float(s.derivative_at(s.lo)), float(s.derivative_at(s.hi)))
+                               for s in segments])
 
     def value(self, p):
         return self._evaluate(p, "right", ValueSegment.value_at)
@@ -172,25 +179,28 @@ class PiecewiseValue:
                 out[at] = method(seg, flat[at])
         return out.reshape(x.shape)
 
-    def junction_gaps(self):
-        """(belief, value jump) at each interior junction."""
-        return [(a.hi, abs(float(a.value_at(a.hi)) - float(b.value_at(b.lo))))
-                for a, b in zip(self.segments, self.segments[1:])]
+    def _shape_violations(self):
+        """(condition, belief, magnitude, message) per breach of a shape rule, exact.
+
+        Jumps and convex kinks at junctions, then decreasing and convex segments:
+        a segment kind has one curvature sign, so its end slopes decide both.
+        """
+        lo, hi, v_lo, v_hi, d_lo, d_hi = self._ends.T.tolist()
+        out = [("continuity", p, gap, f"value discontinuity {gap:.3e} at {p}")
+               for p, a, b in zip(hi, v_hi, v_lo[1:]) if (gap := abs(a - b)) > _CONTINUITY_TOL]
+        out += [("concavity", p, right - left, f"convex kink at {p}: left slope {left}, right slope {right}")
+                for p, left, right in zip(hi, d_hi, d_lo[1:]) if right - left > _CONCAVITY_TOL]
+        out += [("monotonicity", b if sb < sa else a, -min(sa, sb), f"decreasing value on segment ending at {b}")
+                for a, b, sa, sb in zip(lo, hi, d_lo, d_hi) if min(sa, sb) < -_MONOTONE_TOL]
+        out += [("concavity", a, sb - sa, f"convex segment [{a}, {b}]: slope {sa} at lo, {sb} at hi")
+                for a, b, sa, sb in zip(lo, hi, d_lo, d_hi) if sb - sa > _CONCAVITY_TOL]
+        return out
 
     def check_shape(self) -> None:
-        """Assert continuity, concave kinks, and monotonicity at junctions."""
-        for p, gap in self.junction_gaps():
-            if gap > _CONTINUITY_TOL:
-                raise SolverError(f"value discontinuity {gap:.3e} at {p}")
-        for a, b in zip(self.segments, self.segments[1:]):
-            left = float(a.derivative_at(a.hi))
-            right = float(b.derivative_at(b.lo))
-            if right - left > _CONCAVITY_TOL:
-                raise SolverError(f"convex kink at {a.hi}: left slope {left}, right slope {right}")
-        for seg in self.segments:
-            # Each segment kind is concave on its own; endpoint slopes bound it.
-            if float(seg.derivative_at(seg.hi)) < -_MONOTONE_TOL:
-                raise SolverError(f"decreasing value on segment ending at {seg.hi}")
+        """Raise the first breach of continuity, concavity or monotonicity."""
+        violations = self._shape_violations()
+        if violations:
+            raise SolverError(violations[0][3])
 
 
 @dataclass(frozen=True, slots=True)
@@ -443,23 +453,22 @@ class VerificationReport:
 
 def verify_solution(problem: Problem, solution: Solution,
                     n_points: int = 10_000) -> VerificationReport:
-    """Check the optimality conditions on a grid of beliefs; never raises.
+    """Check the optimality conditions; never raises.
 
-    The grid holds n_points even beliefs, every cut, every cutoff and each
-    interior cut less 1e-9.  v, its two one-sided derivatives, u and the left
-    limit of u are evaluated once on it, and each condition is read off those
-    arrays, at every grid point or at the grid points it names:
+    The shape rules (continuity, concavity, monotonicity) are those of
+    PiecewiseValue.check_shape, exact at the segment ends.  The other
+    conditions are read off a grid of n_points even beliefs, every cut, every
+    segment end (so every cutoff) and each interior cut less 1e-9.  v, its
+    two one-sided derivatives, u and the left limit of u are evaluated once
+    on it, and each condition is checked at every grid point or at the grid
+    points it names:
 
     * value floor: v(p*) >= u(p*), at p* itself;
-    * continuity: no value jump at any segment junction;
     * balance: the residual v'(p)(p - p*) + mu (v(p) - u(p)) is nonnegative
       at every grid point, with the right derivative and u(p), and with the
       left derivative and the left limit u(p-);
     * binding: the residual is zero at the cuts up to the center's right cut
       (right side), and at every cutoff and at belief 1 (left side);
-    * concavity and monotonicity: the right derivative does not rise from
-      one grid point to the next and is never negative, so a kink is seen
-      only where it changes the sampled right derivatives;
     * interior gap: v is strictly below the flow level at every cut above
       the center;
     * smooth pasting at every cutoff, and the corner condition at every cut
@@ -480,14 +489,10 @@ def verify_solution(problem: Problem, solution: Solution,
     if floor_gap < -_VERIFY_TOL:
         violations.append(Violation("value_floor", p_star, -floor_gap))
 
-    for p, gap in value.junction_gaps():
-        if gap > _CONTINUITY_TOL:
-            violations.append(Violation("continuity", p, gap))
-
     grid = np.unique(np.concatenate([
         np.linspace(0.0, 1.0, n_points),
         np.array(cuts),
-        np.array(solution.cutoffs, dtype=float),
+        value._los,             # every segment end; the last, 1, is a cut
         np.array([c - 1e-9 for c in cuts[1:-1]]),
     ]))
     cut_at = np.searchsorted(grid, cuts)
@@ -520,12 +525,7 @@ def verify_solution(problem: Problem, solution: Solution,
         if gap > _VERIFY_TOL:
             violations.append(Violation("binding", p, gap))
 
-    rise = np.diff(slope["right"])
-    for i in np.flatnonzero(rise > _CONCAVITY_TOL):
-        violations.append(Violation("concavity", float(grid[i + 1]), float(rise[i])))
-    if slope["right"].min() < -_MONOTONE_TOL:
-        worst = grid[int(np.argmin(slope["right"]))]
-        violations.append(Violation("monotonicity", float(worst), float(-slope["right"].min())))
+    violations += (Violation(*entry[:3]) for entry in value._shape_violations())
 
     for c, h, i in zip(cuts[k + 1:-1], payoff.levels[k + 1:], cut_at[k + 1:-1]):
         gap = h - float(v[i])

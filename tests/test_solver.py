@@ -155,7 +155,9 @@ def test_canon_region_structure(canon_solution):
 
 
 def test_canon_value_continuous_and_concave(canon_solution):
-    assert max((g for _, g in canon_solution.value.junction_gaps()), default=0.0) <= 1e-10
+    segs = canon_solution.value.segments
+    assert max(abs(float(a.value_at(a.hi)) - float(b.value_at(b.lo)))
+               for a, b in zip(segs, segs[1:])) <= 1e-10
     ps = np.linspace(0.0, 1.0, 4001)
     d = canon_solution.value.derivative(ps, "right")
     assert np.max(np.diff(d)) <= 1e-8
@@ -319,11 +321,18 @@ def test_piecewise_value_rejects_partial_cover():
         PiecewiseValue([ValueSegment.linear(0.0, 0.9, 0.0, 1.0)])
 
 
+def test_piecewise_value_rejects_empty_segment():
+    # Each segment starts where the one before ends, but [0.6, 0.3] runs backwards.
+    segs = [ValueSegment.linear(lo, hi, 0.0, 1.0) for lo, hi in ((0.0, 0.6), (0.6, 0.3), (0.3, 1.0))]
+    with pytest.raises(SolverError, match=r"^segment \[0\.6, 0\.3\] is empty$"):
+        PiecewiseValue(segs)
+
+
 def test_check_shape_flags_discontinuity():
     segs = [ValueSegment.linear(0.0, 0.5, 0.0, 0.5),
             ValueSegment.linear(0.5, 1.0, 0.5, 0.5)]   # jumps 0.25 -> 0.75
     value = PiecewiseValue(segs)                        # construction is fine
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match=r"^value discontinuity 5\.000e-01 at 0\.5$"):
         value.check_shape()
 
 
@@ -331,7 +340,7 @@ def test_check_shape_flags_convex_kink():
     segs = [ValueSegment.linear(0.0, 0.5, 0.0, 0.2),
             ValueSegment.linear(0.5, 1.0, -0.3, 0.8)]   # slope rises 0.2 -> 0.8
     value = PiecewiseValue(segs)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match=r"^convex kink at 0\.5: left slope 0\.2, right slope 0\.8$"):
         value.check_shape()
 
 
@@ -339,6 +348,18 @@ def test_check_shape_flags_decreasing_value():
     value = PiecewiseValue([ValueSegment.linear(0.0, 1.0, 1.0, -0.5)])
     with pytest.raises(SolverError, match="decreasing value on segment ending at 1.0"):
         value.check_shape()
+
+
+# Increasing and continuous (1.02 at 0.8), but the arc's slope rises from
+# 2/15 at 0.8 to 2/9 at 1: a negative exponent with start above the level
+# bends it up.
+CONVEX_ARC = [ValueSegment.linear(0.0, 0.8, 0.86, 0.2),
+              ValueSegment.slide_arc(0.8, 1.0, level=1.0, start=1.02, center=0.5, exponent=-2.0)]
+
+
+def test_check_shape_flags_convex_segment():
+    with pytest.raises(SolverError, match=r"^convex segment \[0\.8, 1\.0\]: slope 0\.133"):
+        PiecewiseValue(CONVEX_ARC).check_shape()
 
 
 def test_policy_region_validation():
@@ -509,7 +530,7 @@ def steep_below(solution, cuts, slope=2.0, width=5e-10):
     """The value with its last `width` below each given cut replaced by a steep line.
 
     Each line below such a cut is bent to meet the steep piece, so the value
-    stays continuous; its convex kink falls between grid points.
+    stays continuous, with a convex kink where the steep piece starts.
     """
     segments = []
     for seg in solution.value.segments:
@@ -526,13 +547,51 @@ def steep_below(solution, cuts, slope=2.0, width=5e-10):
 def test_verify_flags_balance_left_only(canon_problem, canon_solution):
     # Below p* a left derivative steeper than the right one lowers only the
     # left residual v'(c-)(c - p*) + mu (v(c) - u(c-)): at 0.2 it is
-    # -0.6 + 0.5 * 0.7625 and at 0.4 it is -0.2 + 0.5 * 0.35.
+    # -0.6 + 0.5 * 0.7625 and at 0.4 it is -0.2 + 0.5 * 0.35.  Where the
+    # steep piece starts, 5e-10 below each cut, the right residual falls by
+    # the same amount and the slope kinks up from the lines' 61/96 and 0.4375 to 2.
     broken = steep_below(canon_solution, (0.2, 0.4))
     rep = verify_solution(canon_problem, broken)
-    assert [(v.condition, v.belief) for v in rep.violations] == \
-        [("balance_left", 0.2), ("balance_left", 0.4)]
-    assert [v.magnitude for v in rep.violations] == pytest.approx([0.21875, 0.025], abs=1e-8)
+    starts = [c - 5e-10 for c in (0.2, 0.4)]
+    assert [(v.condition, v.belief) for v in rep.violations] == [
+        ("balance_right", starts[0]), ("balance_right", starts[1]),
+        ("balance_left", 0.2), ("balance_left", 0.4),
+        ("concavity", starts[0]), ("concavity", starts[1])]
+    assert [v.magnitude for v in rep.violations] == pytest.approx(
+        [0.21875, 0.025, 0.21875, 0.025, 2.0 - 61.0 / 96.0, 2.0 - 0.4375], abs=1e-8)
     assert rep.max_residual_deficit == pytest.approx(0.21875, abs=1e-8)
+
+
+def line_tent(solution, lo=0.30005, hi=0.30011, bump=10.0):
+    """The value with a tent of slopes s + bump, s - bump on [lo, hi] of its line on [0.2, 0.4]."""
+    segs = solution.value.segments
+    i = next(i for i, s in enumerate(segs) if s.lo == 0.2)
+    line, mid = segs[i], 0.5 * (lo + hi)
+    points = [(p, float(line.value_at(p))) for p in (0.2, lo, mid, hi, 0.4)]
+    points[2] = (mid, points[2][1] + bump * (mid - lo))
+    tent = [chord(*a, *b) for a, b in zip(points, points[1:])]
+    return dataclasses.replace(solution, value=PiecewiseValue(segs[:i] + tuple(tent) + segs[i + 1:]))
+
+
+def test_verify_flags_line_tent(canon_problem, canon_solution):
+    # Continuous, and 3e-4 too high at its peak, with no junction on a cut
+    # or a cutoff: the exact shape rules see both kinks and the falling side.
+    broken = line_tent(canon_solution)
+    with pytest.raises(SolverError, match="convex kink at 0.30005"):
+        broken.value.check_shape()
+    rep = verify_solution(canon_problem, broken)
+    assert [(v.condition, v.belief) for v in rep.violations] == [
+        ("balance_right", 0.30005), ("balance_left", 0.30008),
+        ("concavity", 0.30005), ("concavity", 0.30011), ("monotonicity", 0.30008)]
+    assert rep.max_residual_deficit == pytest.approx(1.93, abs=5e-3)
+
+
+def test_verify_flags_convex_segment(canon_problem, canon_solution):
+    rep = verify_solution(canon_problem, dataclasses.replace(canon_solution,
+                                                             value=PiecewiseValue(CONVEX_ARC)))
+    shape = [(v.condition, v.belief, v.magnitude) for v in rep.violations
+             if v.condition in ("continuity", "concavity", "monotonicity")]
+    assert shape == [("concavity", 0.8, pytest.approx(2.0 / 9.0 - 2.0 / 15.0))]
 
 
 # Flat payoff 0.6 with p* = 0.5 and mu = 0.5; five grid points 0, 0.25, ..., 1.
