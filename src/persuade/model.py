@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,14 @@ _DUPLICATE_TOL = 1e-12
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int if it is a Python or numpy integer, else OutOfRange naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
 
 
 def _locate(p, breaks=None, side: str = "right"):

@@ -48,7 +48,6 @@ _DEDUPE_TOL = 1e-14
 _MAX_GRID_POINTS = 10**7
 _LEFT_SAMPLE_OFFSET = 1e-12
 _HULL_BEND_TOL = 1e-13
-_HULL_PASSES = 16
 _POLICY_RESIDUAL_TOL = 1e-8
 DEFAULT_TOL = 1e-6
 #: Value-iteration steps before NoConvergence is raised.
@@ -133,34 +132,21 @@ class OracleResult:
 def _upper_hull(xs: np.ndarray, ys: np.ndarray):
     """Upper concave envelope vertices of points sorted by x.
 
-    A vectorized chord test drops each point on, below or within
-    _HULL_BEND_TOL of its neighbors' chord, repeating until every interior
-    bend is strictly concave; a run dropped in one pass is convex, so its
-    outer neighbors' chord covers it.  After _HULL_PASSES passes an exact
-    monotone chain (Andrew 1979) finishes the job.
+    Chord passes run to their fixed point: each drops every point on, below
+    or within _HULL_BEND_TOL of its neighbors' chord (a run dropped at once
+    is convex, so its outer neighbors' chord covers it), and each but the
+    last drops at least one.  A cascade, a concave arc below both its ends,
+    sheds two points a pass and takes O(n) passes; value iteration feeds
+    none, as u and the hull read at the increasing drift are nondecreasing.
     """
     thr = _HULL_BEND_TOL * max(1.0, float(np.max(np.abs(ys))))
-    for _ in range(_HULL_PASSES):
+    while True:
         chord = ys[:-2] + (ys[2:] - ys[:-2]) * (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2])
         bent = (ys[1:-1] - chord) > thr
         if bent.all():
             return xs, ys
         keep = np.concatenate(([True], bent, [True]))
         xs, ys = xs[keep], ys[keep]
-    sx, sy = xs.tolist(), ys.tolist()
-    stack: list[int] = []
-    for i in range(len(sx)):
-        xi, yi = sx[i], sy[i]
-        while len(stack) >= 2:
-            x1, y1 = sx[stack[-1]], sy[stack[-1]]
-            x0, y0 = sx[stack[-2]], sy[stack[-2]]
-            # middle point on or below the chord of its neighbors: not a vertex
-            if (x1 - x0) * (yi - y0) - (xi - x0) * (y1 - y0) >= 0.0:
-                stack.pop()
-            else:
-                break
-        stack.append(i)
-    return xs[stack], ys[stack]
 
 
 def _bellman_step(pts, u, w, x, beliefs):

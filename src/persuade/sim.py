@@ -67,7 +67,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OutOfRange, SimulationError
-from .model import Problem
+from .model import Problem, _integer
 from .dynamics import SplitSignal, _discount_factor, drift_map, make_split_signal
 from .solver import MarkovPolicy, Solution
 
@@ -143,13 +143,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.delta > 0.0:
             raise OutOfRange(f"period length must be positive, got {self.delta!r}")
-        if not 1 <= self.horizon <= MAX_HORIZON:
+        if not 1 <= _integer("horizon", self.horizon) <= MAX_HORIZON:
             raise OutOfRange(f"horizon must be 1 to {MAX_HORIZON} periods, got {self.horizon!r}")
-        if not 1 <= self.n_paths <= MAX_PATHS:
+        if not 1 <= _integer("n_paths", self.n_paths) <= MAX_PATHS:
             raise OutOfRange(f"need 1 to {MAX_PATHS} paths, got {self.n_paths!r}")
         if not (0.0 <= self.initial_belief <= 1.0):
             raise OutOfRange(f"initial belief outside [0, 1]: {self.initial_belief!r}")
-        if not self.seed >= 0:
+        if not _integer("seed", self.seed) >= 0:
             raise OutOfRange(f"seed must be non-negative, got {self.seed!r}")
 
 
@@ -410,9 +410,9 @@ def _run_chunk(table, config, n_paths, seed_seq, cum_weights):
     level = table.level
     log_flip_stay = np.log1p(-np.array(table.flip))  # per state: log(1 - P(flip))
 
-    state = state_rng.random(n_paths) < config.initial_belief
-    next_flip = (_holding_times(state_rng, state, log_flip_stay, horizon) - 1).astype(np.int32)
-    drawn = state.copy()  # the state after every flip drawn so far
+    # The state after every flip drawn so far: at the start of a block, each path's state.
+    drawn = state_rng.random(n_paths) < config.initial_belief
+    next_flip = (_holding_times(state_rng, drawn, log_flip_stay, horizon) - 1).astype(np.int32)
     code = np.full(n_paths, table.start, dtype=np.int64)
     since = np.zeros(n_paths, dtype=np.int64)  # first period of the path's level run
     totals = np.zeros(n_paths)
@@ -422,11 +422,12 @@ def _run_chunk(table, config, n_paths, seed_seq, cum_weights):
 
     for first in range(0, horizon, _BLOCK):
         stop = min(first + _BLOCK, horizon)
+        s = drawn.copy()  # each path's state at first, before the block's flips are drawn
         flips, cursor = _flip_lists(state_rng, drawn, next_flip, log_flip_stay, first, stop, horizon)
         # The paths short of stop, and their period (counted from first), code and state.
         live = np.arange(n_paths)
         t = np.zeros(n_paths, dtype=np.int64)
-        c, s = code.copy(), state.copy()
+        c = code.copy()
         while live.size:
             due = flips[cursor] == t
             cursor += due
@@ -442,7 +443,6 @@ def _run_chunk(table, config, n_paths, seed_seq, cum_weights):
             if not going.all():
                 done = ~going
                 code[live[done]] = c[done]
-                state[live[done]] = s[done]
                 live, cursor, s, c, t = live[going], cursor[going], s[going], c[going], t[going]
 
     totals += level[code] * (cum_weights[horizon] - cum_weights[since])

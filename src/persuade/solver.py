@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProblemValidationError, SolverError
-from .model import PIN_TOLERANCE, Problem, _locate, parse_problem, problem_to_dict
+from .errors import OutOfRange, ProblemValidationError, SolverError
+from .model import PIN_TOLERANCE, Problem, _integer, _locate, parse_problem, problem_to_dict
 from .dynamics import discounted_time_split
 
 __all__ = [
@@ -453,7 +453,9 @@ class VerificationReport:
 
 def verify_solution(problem: Problem, solution: Solution,
                     n_points: int = 10_000) -> VerificationReport:
-    """Check the optimality conditions; never raises.
+    """Check the optimality conditions; violations are reported, never raised.
+
+    A negative or non-integer n_points raises OutOfRange before any check.
 
     The shape rules (continuity, concavity, monotonicity) are those of
     PiecewiseValue.check_shape, exact at the segment ends.  The other
@@ -477,6 +479,8 @@ def verify_solution(problem: Problem, solution: Solution,
     p* is exempt from the balance and binding checks (a kink is allowed there
     in the pinned regime).
     """
+    if _integer("n_points", n_points) < 0:
+        raise OutOfRange(f"n_points must be non-negative, got {n_points!r}")
     value = solution.value
     payoff = problem.payoff
     p_star = problem.stationary_belief

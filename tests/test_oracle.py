@@ -13,7 +13,6 @@ from persuade.errors import NoConvergence, OracleError, OutOfRange
 from persuade.model import parse_problem
 from persuade.oracle import (
     _HULL_BEND_TOL,
-    _HULL_PASSES,
     _upper_hull,
     contact_gap,
     dp_split_mask,
@@ -118,7 +117,7 @@ def _monotone_chain_hull(xs, ys):
 
 
 def _prefilter_passes(xs, ys):
-    """Chord-prefilter passes until every interior bend is strictly concave."""
+    """Chord passes, as _upper_hull makes them, until every interior bend is strictly concave."""
     thr = _HULL_BEND_TOL * max(1.0, float(np.max(np.abs(ys))))
     passes = 0
     while True:
@@ -149,20 +148,23 @@ def _hull_cases():
     yield "plateaus", xs, steps
     yield "plateaus mixed", xs, 0.1 * steps + 0.9 * (1.0 - (xs - 0.6) ** 2)
     # A concave arc far below the chord of the endpoints: each pass peels
-    # only the arc's two outermost points, so the prefilter hits its cap.
+    # only the arc's two outermost points.
     cascade = np.concatenate(([0.0], -1.0 - (xs[1:-1] - 0.5) ** 2, [0.0]))
     yield "cascade", xs[::5], cascade[::5]
+    # A concave run under a tall step, nondecreasing as value iteration's
+    # payoffs are: each pass peels the run's last point below the step.
+    yield "concave run under a tall step", xs, np.where(xs < 0.8, 0.5 * np.sqrt(xs), 1.0)
 
 
 def test_upper_hull_matches_monotone_chain():
-    cascades = 0
+    long_runs = 0
     for name, xs, ys in _hull_cases():
         hx, hy = _upper_hull(xs, ys)
         rx, ry = _monotone_chain_hull(xs, ys)
         np.testing.assert_array_equal(hx, rx, err_msg=name)
         np.testing.assert_array_equal(hy, ry, err_msg=name)
-        cascades += _prefilter_passes(xs, ys) > _HULL_PASSES
-    assert cascades >= 1       # the monotone-chain fallback ran
+        long_runs += _prefilter_passes(xs, ys) > 16
+    assert long_runs >= 1      # some case needs more than 16 passes
 
 
 # --- value iteration ----------------------------------------------------------
@@ -243,11 +245,15 @@ def test_value_iteration_zero_tol_converges(flat_problem):
     assert res.bound == 0.0
 
 
-@pytest.mark.parametrize("name", ["canon", "single_disc"])
-def test_value_iteration_bound_is_certified(request, name):
+@pytest.mark.parametrize("name, gap, delta", [
+    pytest.param("canon", 5e-3, 0.05, id="canon"),
+    pytest.param("single_disc", 5e-3, 0.05, id="single_disc"),
+    # Most hulls on this fine grid take more than 16 chord passes.
+    pytest.param("canon", 1e-4, 0.02, id="canon-fine"),
+])
+def test_value_iteration_bound_is_certified(request, name, gap, delta):
     problem = request.getfixturevalue(f"{name}_problem")
-    grid = make_grid(problem, 5e-3)
-    delta = 0.05
+    grid = make_grid(problem, gap)
     x = math.exp(-problem.discounting.r * delta)
     res = value_iteration(problem, delta, grid, tol=1e-6)
     ref = value_iteration(problem, delta, grid, tol=1e-11)

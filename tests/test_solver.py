@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import brentq
 
 from persuade.dynamics import discounted_time_split
-from persuade.errors import ProblemValidationError, SolverError
+from persuade.errors import OutOfRange, ProblemValidationError, SolverError
 from persuade.model import _locate, parse_problem
 from persuade.oracle import full_disclosure_policy, myopic_policy, slide_only_policy
 from persuade.solver import (
@@ -453,6 +453,21 @@ def test_verify_canon_clean(canon_problem, canon_solution):
     assert rep.max_binding_gap <= 1e-8
     assert rep.max_pasting_gap <= 1e-8
     assert rep.max_residual_deficit <= 1e-8
+
+
+@pytest.mark.parametrize("n_points, match", [
+    (-1, "n_points must be non-negative, got -1"), (2.5, "n_points must be an integer, got 2.5"),
+])
+def test_verify_rejects_bad_point_count(canon_problem, canon_solution, n_points, match):
+    with pytest.raises(OutOfRange, match=match):
+        verify_solution(canon_problem, canon_solution, n_points=n_points)
+
+
+def test_verify_without_even_points(canon_problem, canon_solution):
+    # The grid is then the cuts, their left neighbors and the segment ends.
+    rep = verify_solution(canon_problem, canon_solution, n_points=0)
+    assert rep.ok
+    assert rep.checked_points == 11
 
 
 def test_verify_flags_perturbed_value(canon_problem, canon_solution):
