@@ -186,7 +186,7 @@ def _resolve_policy(args, problem: Problem):
     with open(name, "r") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # bad JSON, or an int with more digits than int() reads
             raise ProblemValidationError([f"policy file {name}: invalid JSON: {exc}"]) from exc
     # A solution file carries the same top-level regions and cutoffs.
     try:

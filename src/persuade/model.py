@@ -52,7 +52,11 @@ _DUPLICATE_TOL = 1e-12
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """An int or float (not a bool) with a finite float value."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:       # an int beyond float range
+        return False
 
 
 def _integer(name: str, value) -> int:
@@ -294,7 +298,7 @@ def load_problem(path) -> Problem:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # bad JSON, or an int with more digits than int() reads
             raise ProblemValidationError([f"not valid JSON: {exc}"]) from exc
     return parse_problem(raw)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfRange, ProblemValidationError, SolverError
-from .model import PIN_TOLERANCE, Problem, _integer, _locate, parse_problem, problem_to_dict
+from .model import PIN_TOLERANCE, Problem, _integer, _is_number, _locate, parse_problem, problem_to_dict
 from .dynamics import discounted_time_split
 
 __all__ = [
@@ -71,6 +71,7 @@ class ValueSegment:
     kind "slide_arc": value = level + (start - level) * ratio^exponent with
     ratio = (lo - center) / (p - center), so start is the value at lo; the
     segment lies strictly above the center (lo - center > 0).
+    at(p) gives the value and the slope together, from one power on an arc.
     """
 
     lo: float
@@ -95,21 +96,15 @@ class ValueSegment:
         return ValueSegment(lo=lo, hi=hi, kind="slide_arc", level=level,
                             start=start, center=center, exponent=exponent)
 
-    def _decay(self, p):
-        """((lo - center) / (p - center))^exponent and p - center."""
-        gap = np.asarray(p, dtype=float) - self.center
-        return ((self.lo - self.center) / gap) ** self.exponent, gap
-
-    def value_at(self, p):
+    def at(self, p):
+        """(value, slope) at p; a line's slope is its constant, which callers broadcast."""
+        x = np.asarray(p, dtype=float)
         if self.kind == "linear":
-            return self.intercept + self.slope * np.asarray(p, dtype=float)
-        return self.level + (self.start - self.level) * self._decay(p)[0]
-
-    def derivative_at(self, p):
-        if self.kind == "linear":
-            return np.full_like(np.asarray(p, dtype=float), self.slope)
-        decay, gap = self._decay(p)
-        return self.exponent * (self.level - self.start) * decay / gap
+            return self.intercept + self.slope * x, self.slope
+        gap = x - self.center
+        decay = ((self.lo - self.center) / gap) ** self.exponent
+        return (self.level + (self.start - self.level) * decay,
+                self.exponent * (self.level - self.start) * decay / gap)
 
     def to_dict(self) -> dict:
         if self.kind == "linear":
@@ -150,34 +145,33 @@ class PiecewiseValue:
                 raise SolverError(f"segment [{seg.lo}, {seg.hi}] is empty")
         self.segments = segments
         self._los = np.array([s.lo for s in segments])
-        # lo, hi, v(lo), v(hi), v'(lo), v'(hi) per segment: the shape rules read only these.
-        self._ends = np.array([(s.lo, s.hi, float(s.value_at(s.lo)), float(s.value_at(s.hi)),
-                                float(s.derivative_at(s.lo)), float(s.derivative_at(s.hi)))
-                               for s in segments])
+        # lo, hi, v(lo), v'(lo), v(hi), v'(hi) per segment: the shape rules read only these.
+        self._ends = np.array([(s.lo, s.hi, *s.at(s.lo), *s.at(s.hi)) for s in segments])
 
     def value(self, p):
-        return self._evaluate(p, "right", ValueSegment.value_at)
+        return self._evaluate(p, "right")[0]
 
     def derivative(self, p, side: str = "right"):
         """One-sided derivative; 'left' picks the earlier segment at junctions."""
-        return self._evaluate(p, side, ValueSegment.derivative_at)
+        return self._evaluate(p, side)[1]
 
-    def _evaluate(self, p, side: str, method):
-        """method(segment, beliefs) on the segment holding each belief."""
+    def _evaluate(self, p, side: str):
+        """(value, slope) from the segment holding each belief."""
         x, idx = _locate(p, self._los, side)
         if isinstance(x, float):
-            return float(method(self.segments[idx], x))
+            v, d = self.segments[idx].at(x)
+            return float(v), float(d)
         # A stable sort keeps each segment's beliefs in their input order, so
         # every segment sees the same array as a per-segment mask would give.
         flat, idx = x.ravel(), idx.ravel()
         order = np.argsort(idx, kind="stable")
         bounds = np.searchsorted(idx[order], np.arange(len(self.segments) + 1)).tolist()
-        out = np.empty_like(flat)
+        v, d = np.empty_like(flat), np.empty_like(flat)
         for seg, a, b in zip(self.segments, bounds, bounds[1:]):
             if a < b:
                 at = order[a:b]
-                out[at] = method(seg, flat[at])
-        return out.reshape(x.shape)
+                v[at], d[at] = seg.at(flat[at])
+        return v.reshape(x.shape), d.reshape(x.shape)
 
     def _shape_violations(self):
         """(condition, belief, magnitude, message) per breach of a shape rule, exact.
@@ -185,7 +179,7 @@ class PiecewiseValue:
         Jumps and convex kinks at junctions, then decreasing and convex segments:
         a segment kind has one curvature sign, so its end slopes decide both.
         """
-        lo, hi, v_lo, v_hi, d_lo, d_hi = self._ends.T.tolist()
+        lo, hi, v_lo, d_lo, v_hi, d_hi = self._ends.T.tolist()
         out = [("continuity", p, gap, f"value discontinuity {gap:.3e} at {p}")
                for p, a, b in zip(hi, v_hi, v_lo[1:]) if (gap := abs(a - b)) > _CONTINUITY_TOL]
         out += [("concavity", p, right - left, f"convex kink at {p}: left slope {left}, right slope {right}")
@@ -216,16 +210,20 @@ class PolicyRegion:
     def __post_init__(self) -> None:
         if self.action not in ("slide", "split"):
             raise ProblemValidationError([f"unknown action {self.action!r}"])
+        split = self.action == "split"
+        if split and (self.low_target is None or self.high_target is None):
+            raise ProblemValidationError([f"split region [{self.lo}, {self.hi}) without targets"])
+        numbers = (self.lo, self.hi, self.low_target, self.high_target) if split else (self.lo, self.hi)
+        if not all(map(_is_number, numbers)):
+            raise ProblemValidationError([
+                f"region [{self.lo!r}, {self.hi!r}) has a bound or target that is not a finite number"])
         if not self.lo < self.hi:
             raise ProblemValidationError([f"region [{self.lo}, {self.hi}) is empty"])
-        if self.action == "split":
-            if self.low_target is None or self.high_target is None:
-                raise ProblemValidationError([f"split region [{self.lo}, {self.hi}) without targets"])
-            if not (self.low_target <= self.lo and self.hi <= self.high_target):
-                raise ProblemValidationError([
-                    f"split targets [{self.low_target}, {self.high_target}] do not "
-                    f"contain the region [{self.lo}, {self.hi}]"
-                ])
+        if split and not (self.low_target <= self.lo and self.hi <= self.high_target):
+            raise ProblemValidationError([
+                f"split targets [{self.low_target}, {self.high_target}] do not "
+                f"contain the region [{self.lo}, {self.hi}]"
+            ])
 
     def to_dict(self) -> dict:
         if self.action == "slide":
@@ -400,13 +398,12 @@ def _solve_above_interval(problem: Problem, j: int, v_at_pj: float):
 
     if (k + j) == len(levels) - 1:
         segment = ValueSegment.slide_arc(p_j, 1.0, h_j, v_at_pj, p_star, mu)
-        return [segment], float(segment.value_at(1.0))
+        return [segment], float(segment.at(1.0)[0])
 
     h_next = levels[k + j + 1]
     q = _find_cutoff(p_j, p_next, h_j, h_next, v_at_pj, p_star, mu)
     arc = ValueSegment.slide_arc(p_j, q, h_j, v_at_pj, p_star, mu)
-    slope = float(arc.derivative_at(q))
-    v_q = float(arc.value_at(q))
+    v_q, slope = map(float, arc.at(q))
     v_next = h_next - slope * (p_next - p_star) / mu
     return [arc, ValueSegment.linear(q, p_next, v_q - slope * q, slope)], v_next
 
@@ -460,10 +457,10 @@ def verify_solution(problem: Problem, solution: Solution,
     The shape rules (continuity, concavity, monotonicity) are those of
     PiecewiseValue.check_shape, exact at the segment ends.  The other
     conditions are read off a grid of n_points even beliefs, every cut, every
-    segment end (so every cutoff) and each interior cut less 1e-9.  v, its
-    two one-sided derivatives, u and the left limit of u are evaluated once
-    on it, and each condition is checked at every grid point or at the grid
-    points it names:
+    segment end (so every cutoff) and each interior cut less 1e-9.  v and its
+    right derivative come from one pass over the grid, the left derivative
+    from a second, and u and its left limit from one each.  Each condition
+    is checked at every grid point, or read at the grid points it names:
 
     * value floor: v(p*) >= u(p*), at p* itself;
     * balance: the residual v'(p)(p - p*) + mu (v(p) - u(p)) is nonnegative
@@ -499,10 +496,8 @@ def verify_solution(problem: Problem, solution: Solution,
         value._los,             # every segment end; the last, 1, is a cut
         np.array([c - 1e-9 for c in cuts[1:-1]]),
     ]))
-    cut_at = np.searchsorted(grid, cuts)
-    cutoff_at = np.searchsorted(grid, solution.cutoffs)
-    v = value.value(grid)
-    slope = {side: value.derivative(grid, side) for side in ("right", "left")}
+    v, right = value._evaluate(grid, "right")
+    slope = {"right": right, "left": value._evaluate(grid, "left")[1]}
     # The left derivative pairs with the left limit of u (the step's value
     # just below p), the right derivative with u(p) itself.
     residual = {side: slope[side] * (grid - p_star) + mu * (v - flow)
@@ -517,38 +512,30 @@ def verify_solution(problem: Problem, solution: Solution,
         for i in np.flatnonzero(res < -_VERIFY_TOL):
             violations.append(Violation(f"balance_{side}", float(pts[i]), float(-res[i])))
 
-    binding = [(c, residual["right"][i]) for c, i in zip(cuts[:-1][:k + 2], cut_at)]
-    binding += [(q, residual["left"][i])
-                for q, i in zip((*solution.cutoffs, 1.0), (*cutoff_at, grid.size - 1))]
-    max_binding = 0.0
-    for p, res in binding:
-        if abs(p - p_star) <= PIN_TOLERANCE:
-            continue
-        gap = abs(float(res))
-        max_binding = max(max_binding, gap)
-        if gap > _VERIFY_TOL:
-            violations.append(Violation("binding", p, gap))
+    def read(values, p):
+        return float(values[np.searchsorted(grid, p)])
 
+    def jump(p):
+        return abs(read(slope["left"], p) - read(slope["right"], p))
+
+    # (condition, belief, magnitude) per named point.
+    binding = [("binding", c, abs(read(residual["right"], c))) for c in cuts[:-1][:k + 2]]
+    binding += [("binding", q, abs(read(residual["left"], q))) for q in (*solution.cutoffs, 1.0)]
+    binding = [entry for entry in binding if abs(entry[1] - p_star) > PIN_TOLERANCE]
+    interior = [("interior_gap", c, -(h - read(v, c)))
+                for c, h in zip(cuts[k + 1:-1], payoff.levels[k + 1:])]
+    pasting = [("smooth_pasting", q, jump(q)) for q in solution.cutoffs]
+    pasting += [("corner", c, jump(c)) for c in cuts[k + 2:-1]]
+
+    violations += (Violation(*entry) for entry in binding if entry[2] > _VERIFY_TOL)
     violations += (Violation(*entry[:3]) for entry in value._shape_violations())
-
-    for c, h, i in zip(cuts[k + 1:-1], payoff.levels[k + 1:], cut_at[k + 1:-1]):
-        gap = h - float(v[i])
-        if gap <= 0.0:
-            violations.append(Violation("interior_gap", c, -gap))
-
-    max_pasting = 0.0
-    smooth = [(q, "smooth_pasting", i) for q, i in zip(solution.cutoffs, cutoff_at)]
-    smooth += [(c, "corner", i) for c, i in zip(cuts[k + 2:-1], cut_at[k + 2:-1])]
-    for p, condition, i in smooth:
-        jump = abs(float(slope["left"][i]) - float(slope["right"][i]))
-        max_pasting = max(max_pasting, jump)
-        if jump > _VERIFY_TOL:
-            violations.append(Violation(condition, p, jump))
+    violations += (Violation(*entry) for entry in interior if entry[2] >= 0.0)
+    violations += (Violation(*entry) for entry in pasting if entry[2] > _VERIFY_TOL)
 
     return VerificationReport(
         violations=tuple(violations),
         checked_points=int(grid.size),
         max_residual_deficit=worst_deficit,
-        max_binding_gap=max_binding,
-        max_pasting_gap=max_pasting,
+        max_binding_gap=max([0.0] + [entry[2] for entry in binding]),
+        max_pasting_gap=max([0.0] + [entry[2] for entry in pasting]),
     )

@@ -7,6 +7,8 @@ import csv
 import errno
 import json
 import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -65,12 +67,34 @@ def test_validate_rejects_garbage_json(tmp_path, capsys):
 @pytest.mark.parametrize("document, line", [
     ([1, 2], "problem document must be a JSON object, got list"),
     (dict(CANON_RAW, cuts="abc"), "field 'cuts' must be a list of finite numbers"),
-], ids=["array", "string-cuts"])
+    (dict(CANON_RAW, lambda0=10 ** 400), f"field 'lambda0' must be a finite number, got {10 ** 400}"),
+    (dict(CANON_RAW, cuts=[0, 0.2, 10 ** 400, 0.6, 0.8, 1]), "field 'cuts' must be a list of finite numbers"),
+    (dict(CANON_RAW, levels=[0, 0.5, 0.8, 0.95, 10 ** 400]), "field 'levels' must be a list of finite numbers"),
+], ids=["array", "string-cuts", "huge-lambda0", "huge-cut", "huge-level"])
 def test_validate_rejects_malformed_document(tmp_path, capsys, document, line):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(document))
     assert main(["validate", "--config", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+
+def run_console(*argv):
+    """`python -m persuade.cli`, which runs cli.run, the `persuade` console script."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "persuade.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def test_console_entry_point_exit_codes(tmp_path, canon_config):
+    done = run_console("validate", "--config", canon_config)
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == ["p_star=0.5", "mu=0.5", "m=2", "m_prime=3", "pinned=False"]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(dict(CANON_RAW, lambda0=10 ** 400)))
+    done = run_console("validate", "--config", str(huge))
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:")
 
 
 def test_missing_config_is_io_error(tmp_path, capsys):
@@ -264,6 +288,19 @@ def test_simulate_bad_policy_json(tmp_path, canon_config, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_int_past_the_digit_limit_exits_2(tmp_path, canon_config, capsys):
+    digits = "1" + "0" * 5000      # more digits than int() converts by default
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CANON_RAW).replace('"lambda0": 1.0', f'"lambda0": {digits}'))
+    policy = tmp_path / "policy.json"
+    policy.write_text(f'{{"regions": [{{"lo": 0, "hi": {digits}, "action": "slide"}}]}}')
+    assert main(["validate", "--config", str(config)]) == 2
+    assert main(["simulate", "--config", canon_config, "--out", str(tmp_path / "sim.json"),
+                 "--policy", str(policy), "--paths", "10"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
 @pytest.mark.parametrize("policy", [
     {"foo": 1},
     [1, 2],
@@ -272,7 +309,9 @@ def test_simulate_bad_policy_json(tmp_path, canon_config, capsys):
     {"regions": [{"lo": 0, "hi": 1, "action": "jump"}]},
     {"regions": [{"lo": "a", "hi": 1}]},
     {"regions": [{"lo": 0, "hi": 0.7}, {"lo": 0.7, "hi": 0.3}, {"lo": 0.3, "hi": 1}]},
-], ids=["no_regions", "list", "one_target", "gap", "unknown_action", "string_lo", "backwards"])
+    {"regions": [{"lo": 0, "hi": 1, "action": "split", "targets": [0, 10 ** 400]}]},
+], ids=["no_regions", "list", "one_target", "gap", "unknown_action", "string_lo", "backwards",
+        "huge_target"])
 def test_simulate_malformed_policy_file(tmp_path, canon_config, capsys, policy):
     bad = tmp_path / "policy.json"
     bad.write_text(json.dumps(policy))

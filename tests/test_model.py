@@ -263,6 +263,21 @@ def test_parse_rejects_wrong_types():
         parse_problem(raw)
 
 
+HUGE = 10 ** 400       # an int with no finite float
+
+
+@pytest.mark.parametrize("raw, message", [
+    (dict(CANON_RAW, lambda0=HUGE), f"field 'lambda0' must be a finite number, got {HUGE!r}"),
+    (dict(CANON_RAW, r=HUGE), f"field 'r' must be a finite number, got {HUGE!r}"),
+    (dict(CANON_RAW, cuts=[0.0, 0.2, HUGE, 0.6, 0.8, 1.0]), "field 'cuts' must be a list of finite numbers"),
+    (dict(CANON_RAW, levels=[0.0, 0.5, 0.8, 0.95, HUGE]), "field 'levels' must be a list of finite numbers"),
+], ids=["lambda0", "r", "cut", "level"])
+def test_parse_rejects_int_beyond_float_range(raw, message):
+    with pytest.raises(ProblemValidationError) as exc:
+        parse_problem(raw)
+    assert exc.value.problems == [message]
+
+
 def test_load_problem_rejects_garbage_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -108,7 +108,7 @@ def test_center_line_endpoint_recursions(canon_problem):
         p0, p1 = problem.payoff.cuts[k], problem.payoff.cuts[k + 1]
         u0, u1 = problem.payoff.value(p0), problem.payoff.value(p1)
         assert (line.kind, line.lo, line.hi) == ("linear", p0, p1)
-        v0, v1 = float(line.value_at(p0)), float(line.value_at(p1))
+        v0, v1 = float(line.at(p0)[0]), float(line.at(p1)[0])
         y_up = discounted_time_split(problem, p0, p1)
         y_down = discounted_time_split(problem, p1, p0)
         assert v0 == pytest.approx(y_up * u0 + (1.0 - y_up) * v1, abs=1e-10)
@@ -156,7 +156,7 @@ def test_canon_region_structure(canon_solution):
 
 def test_canon_value_continuous_and_concave(canon_solution):
     segs = canon_solution.value.segments
-    assert max(abs(float(a.value_at(a.hi)) - float(b.value_at(b.lo)))
+    assert max(abs(float(a.at(a.hi)[0]) - float(b.at(b.lo)[0]))
                for a, b in zip(segs, segs[1:])) <= 1e-10
     ps = np.linspace(0.0, 1.0, 4001)
     d = canon_solution.value.derivative(ps, "right")
@@ -371,6 +371,19 @@ def test_policy_region_validation():
         PolicyRegion(lo=0.0, hi=0.5, action="split", low_target=0.2, high_target=0.8)
 
 
+@pytest.mark.parametrize("region", [
+    {"lo": 0, "hi": 10 ** 400, "action": "slide"},
+    {"lo": 0, "hi": 1, "action": "split", "targets": [0, 10 ** 400]},
+    {"lo": 0, "hi": 1, "action": "split", "targets": [-math.inf, 1]},
+    {"lo": 0, "hi": 1, "action": "split", "targets": ["0", 1]},
+    {"lo": math.nan, "hi": 1, "action": "slide"},
+], ids=["huge-hi", "huge-target", "inf-target", "string-target", "nan-lo"])
+def test_policy_numbers_must_be_finite(region):
+    with pytest.raises(ProblemValidationError,
+                       match=r"^region \[.*\) has a bound or target that is not a finite number$"):
+        MarkovPolicy.from_dict({"regions": [region]})
+
+
 def test_policy_partition_required():
     slide = PolicyRegion(lo=0.0, hi=0.5, action="slide", low_target=None, high_target=None)
     with pytest.raises(ProblemValidationError, match="last region ends at 0.5, not 1"):
@@ -502,9 +515,9 @@ def shifted_cutoff(solution, shift):
     below, (arc, line, top) = solution.value.segments[:-3], solution.value.segments[-3:]
     q = arc.hi - shift
     arc = ValueSegment.slide_arc(arc.lo, q, arc.level, arc.start, arc.center, arc.exponent)
-    slope = float(arc.derivative_at(q))
-    line = ValueSegment.linear(q, line.hi, float(arc.value_at(q)) - slope * q, slope)
-    top = ValueSegment.slide_arc(top.lo, top.hi, top.level, float(line.value_at(line.hi)),
+    slope = float(arc.at(q)[1])
+    line = ValueSegment.linear(q, line.hi, float(arc.at(q)[0]) - slope * q, slope)
+    top = ValueSegment.slide_arc(top.lo, top.hi, top.level, float(line.at(line.hi)[0]),
                                  top.center, top.exponent)
     return dataclasses.replace(solution, value=PiecewiseValue(below + (arc, line, top)))
 
@@ -553,8 +566,8 @@ def steep_below(solution, cuts, slope=2.0, width=5e-10):
             segments.append(seg)
             continue
         x = seg.hi - width
-        steep = ValueSegment.linear(x, seg.hi, float(seg.value_at(seg.hi)) - slope * seg.hi, slope)
-        segments += [chord(seg.lo, float(seg.value_at(seg.lo)), x, float(steep.value_at(x))),
+        steep = ValueSegment.linear(x, seg.hi, float(seg.at(seg.hi)[0]) - slope * seg.hi, slope)
+        segments += [chord(seg.lo, float(seg.at(seg.lo)[0]), x, float(steep.at(x)[0])),
                      steep]
     return dataclasses.replace(solution, value=PiecewiseValue(segments))
 
@@ -582,7 +595,7 @@ def line_tent(solution, lo=0.30005, hi=0.30011, bump=10.0):
     segs = solution.value.segments
     i = next(i for i, s in enumerate(segs) if s.lo == 0.2)
     line, mid = segs[i], 0.5 * (lo + hi)
-    points = [(p, float(line.value_at(p))) for p in (0.2, lo, mid, hi, 0.4)]
+    points = [(p, float(line.at(p)[0])) for p in (0.2, lo, mid, hi, 0.4)]
     points[2] = (mid, points[2][1] + bump * (mid - lo))
     tent = [chord(*a, *b) for a, b in zip(points, points[1:])]
     return dataclasses.replace(solution, value=PiecewiseValue(segs[:i] + tuple(tent) + segs[i + 1:]))
@@ -689,6 +702,52 @@ def test_canon_stationary_belief_near_cut(p_star):
     solve_and_verify(canon_variant(p_star))
 
 
+@pytest.mark.parametrize("p_star", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("mu", [1e2, 1e3, 1e4])
+def test_impatient_limit_at_cuts(p_star, mu):
+    """mu (v(c) - u(c)) -> (p* - c) s(c) at every cut c as mu -> infinity.
+
+    s(c) is the chord slope of cav u on the side of c that faces p*.  Below
+    p*, the value at c holds there and jumps to the next cut c' on reaching
+    it: v(c) - u(c) = (1 - Y)(v(c') - u(c)) with the split reach time
+    Y = mu (c' - c) / (p* - c + mu (c' - c)), so mu (v(c) - u(c)) tends to
+    (p* - c)(u(c') - u(c)) / (c' - c).  Above p*, the corner condition gives
+    v(c) = u(c) - slope (c - p*) / mu, with the slope of the line pasted on
+    the interval ending at c, which tends to that interval's chord slope; at
+    c = 1 the top arc decays like a power mu of a ratio below 1, and the flat
+    chord of cav u there gives s = 0.  The error is O(1/mu) in the scaled gap,
+    so mu times it stays bounded: it reads 0.9, 2.0 and 3.5 at p* = 0.3, 0.5
+    and 0.7 for every mu here.
+    """
+    problem = parse_problem(canon_variant(p_star, mu))
+    value = solve(problem).value
+    payoff, cuts = problem.payoff, problem.payoff.cuts
+    for i, c in enumerate(cuts):
+        if c == problem.stationary_belief:
+            continue
+        a, b = (c, cuts[i + 1]) if c < problem.stationary_belief else (cuts[i - 1], c)
+        chord = (payoff.envelope(b) - payoff.envelope(a)) / (b - a)
+        limit = (problem.stationary_belief - c) * chord
+        assert mu * abs(mu * (value.value(c) - payoff.value(c)) - limit) <= 4.0, c
+
+
+@pytest.mark.parametrize("p_star", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("mu", [1e-4, 1e-3, 1e-2])
+def test_patient_limit_is_uniform_at_rate_mu(p_star, mu):
+    """v -> cav u(p*) uniformly as mu -> 0, with sup |v - cav u(p*)| = O(mu).
+
+    From any belief the drift brings p to within any distance of p* in a time
+    of order 1/(lambda0 + lambda1), after which the stationary split earns
+    cav u(p*) per unit time.  The discount weight of that stretch is of order
+    r / (lambda0 + lambda1) = mu, and the payoff spread is 1, so the gap is
+    O(mu).  The constant has no derived formula; it reads 0.64, 0.67 and 0.61
+    at p* = 0.3, 0.5 and 0.7, and the test checks the rate with bound 1.
+    """
+    problem = parse_problem(canon_variant(p_star, mu))
+    value = solve(problem).value.value(np.linspace(0.0, 1.0, 2001))
+    assert np.max(np.abs(value - problem.payoff.envelope(problem.stationary_belief))) / mu <= 1.0
+
+
 def test_cutoff_matches_power_form_root():
     # The pasting residual in its unanchored form, with K = (v(p_j) - h_j)(p_j - p*)^mu
     # read off each solved arc; it is safe from overflow at random_instance's mu.
@@ -736,9 +795,9 @@ def test_grouped_evaluation_matches_masked_reference():
         draws = rng.uniform(0.0, 1.0, 300)
         p = rng.permutation(np.concatenate([draws, draws[:50], junctions, junctions, [0.0, 1.0]]))
         for side, method, got in (
-                ("right", ValueSegment.value_at, value.value(p)),
-                ("right", ValueSegment.derivative_at, value.derivative(p, "right")),
-                ("left", ValueSegment.derivative_at, value.derivative(p, "left"))):
+                ("right", lambda seg, x: seg.at(x)[0], value.value(p)),
+                ("right", lambda seg, x: seg.at(x)[1], value.derivative(p, "right")),
+                ("left", lambda seg, x: seg.at(x)[1], value.derivative(p, "left"))):
             assert got.tobytes() == masked_evaluate(value, p, side, method).tobytes()
 
 
