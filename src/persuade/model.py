@@ -232,6 +232,10 @@ class Problem:
     pivot: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        r, switch_rate = self.discounting.r, self.rates.switch_rate
+        if not 0.0 < r / switch_rate < math.inf:
+            raise ProblemValidationError([
+                f"mu = r / (lambda0 + lambda1) = {r!r} / {switch_rate!r} must be a finite positive number"])
         # Cuts are more than PIN_TOLERANCE apart, so only the cut just above
         # p*'s interval can be near p* besides the interval's own left cut.
         p_star = self.stationary_belief

@@ -221,10 +221,10 @@ class _BeliefTable:
     indexed by the code a path starts a period at, with the drift step
     folded in; a state-dependent one by slot 2 * code + state, next_code by
     2 * code + high.  A hold is an atom to which one of the messages sent
-    at its drifted belief returns the path; the other one leaves it.
+    at its drifted belief returns the path; the other one leaves it.  The
+    initial belief's chain comes first, so every path starts at code 0.
     """
 
-    start: int              # code of the initial belief
     belief: np.ndarray      # belief per code
     bin: np.ndarray         # calibration bin per code
     level: np.ndarray       # u(belief) per code
@@ -295,7 +295,6 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
     ends = np.append(np.flatnonzero(~goes_on), size)
     run = ends[np.searchsorted(ends, codes + 1)] - codes
     return _BeliefTable(
-        start=offsets[float(config.initial_belief)],
         belief=belief,
         bin=np.clip((belief * _N_BINS).astype(np.int64), 0, _N_BINS - 1),
         level=level,
@@ -413,7 +412,7 @@ def _run_chunk(table, config, n_paths, seed_seq, cum_weights):
     # The state after every flip drawn so far: at the start of a block, each path's state.
     drawn = state_rng.random(n_paths) < config.initial_belief
     next_flip = (_holding_times(state_rng, drawn, log_flip_stay, horizon) - 1).astype(np.int32)
-    code = np.full(n_paths, table.start, dtype=np.int64)
+    code = np.zeros(n_paths, dtype=np.int64)
     since = np.zeros(n_paths, dtype=np.int64)  # first period of the path's level run
     totals = np.zeros(n_paths)
     # Periods ended per slot, and per slot a difference array for drift runs.

@@ -454,27 +454,26 @@ def verify_solution(problem: Problem, solution: Solution,
 
     A negative or non-integer n_points raises OutOfRange before any check.
 
-    The shape rules (continuity, concavity, monotonicity) are those of
-    PiecewiseValue.check_shape, exact at the segment ends.  The other
-    conditions are read off a grid of n_points even beliefs, every cut, every
-    segment end (so every cutoff) and each interior cut less 1e-9.  v and its
-    right derivative come from one pass over the grid, the left derivative
-    from a second, and u and its left limit from one each.  Each condition
-    is checked at every grid point, or read at the grid points it names:
+    Every condition but one is exact, read at the segment ends from the
+    value's end table (v and v' at each end of each segment):
 
+    * shape rules (continuity, concavity, monotonicity), as in
+      PiecewiseValue.check_shape;
     * value floor: v(p*) >= u(p*), at p* itself;
-    * balance: the residual v'(p)(p - p*) + mu (v(p) - u(p)) is nonnegative
-      at every grid point, with the right derivative and u(p), and with the
-      left derivative and the left limit u(p-);
-    * binding: the residual is zero at the cuts up to the center's right cut
-      (right side), and at every cutoff and at belief 1 (left side);
+    * left balance: v'(p)(p - p*) + mu (v(p) - u(p-)) >= 0 at each segment's
+      right end, with the left limits of v, v' and u;
+    * binding: the balance residual is zero at the cuts up to the center's
+      right cut (right side), and at every cutoff and at belief 1 (left side);
     * interior gap: v is strictly below the flow level at every cut above
       the center;
     * smooth pasting at every cutoff, and the corner condition at every cut
-      a pasted line ends on: no jump between the one-sided derivatives.
+      a pasted line ends on: no jump in v' where one segment meets the next.
 
-    p* is exempt from the balance and binding checks (a kink is allowed there
-    in the pinned regime).
+    The one sampled quantity is the right balance residual
+    v'(p)(p - p*) + mu (v(p) - u(p)) >= 0, with the right derivative, on a
+    grid of n_points even beliefs, every cut and every segment end; v and v'
+    there come from one pass.  p* is exempt from the balance and binding
+    checks (a kink is allowed there in the pinned regime).
     """
     if _integer("n_points", n_points) < 0:
         raise OutOfRange(f"n_points must be non-negative, got {n_points!r}")
@@ -490,24 +489,18 @@ def verify_solution(problem: Problem, solution: Solution,
     if floor_gap < -_VERIFY_TOL:
         violations.append(Violation("value_floor", p_star, -floor_gap))
 
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, 1.0, n_points),
-        np.array(cuts),
-        value._los,             # every segment end; the last, 1, is a cut
-        np.array([c - 1e-9 for c in cuts[1:-1]]),
-    ]))
-    v, right = value._evaluate(grid, "right")
-    slope = {"right": right, "left": value._evaluate(grid, "left")[1]}
-    # The left derivative pairs with the left limit of u (the step's value
-    # just below p), the right derivative with u(p) itself.
-    residual = {side: slope[side] * (grid - p_star) + mu * (v - flow)
-                for side, flow in (("right", payoff.value(grid)),
-                                   ("left", payoff.left_value(grid)))}
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_points), np.array(cuts), value._los]))
+    v, slope = value._evaluate(grid, "right")
+    right = slope * (grid - p_star) + mu * (v - payoff.value(grid))
+    _, ends, _, d_lo, v_end, d_end = value._ends.T
+    # Off the segment ends the slope is the same from both sides and
+    # u(p-) <= u(p), so the left residual is never below the right one there.
+    left = d_end * (ends - p_star) + mu * (v_end - payoff.left_value(ends))
 
     worst_deficit = 0.0
-    off_p_star = np.abs(grid - p_star) > PIN_TOLERANCE
-    for side, keep in (("right", off_p_star), ("left", off_p_star & (grid > 0.0))):
-        pts, res = grid[keep], residual[side][keep]
+    for side, pts, res in (("right", grid, right), ("left", ends, left)):
+        keep = np.abs(pts - p_star) > PIN_TOLERANCE
+        pts, res = pts[keep], res[keep]
         worst_deficit = max(worst_deficit, -float(res.min(initial=0.0)))
         for i in np.flatnonzero(res < -_VERIFY_TOL):
             violations.append(Violation(f"balance_{side}", float(pts[i]), float(-res[i])))
@@ -515,17 +508,17 @@ def verify_solution(problem: Problem, solution: Solution,
     def read(values, p):
         return float(values[np.searchsorted(grid, p)])
 
-    def jump(p):
-        return abs(read(slope["left"], p) - read(slope["right"], p))
+    left_at = dict(zip(ends.tolist(), left.tolist()))
+    jump_at = dict(zip(ends.tolist(), np.abs(d_end[:-1] - d_lo[1:]).tolist()))
 
     # (condition, belief, magnitude) per named point.
-    binding = [("binding", c, abs(read(residual["right"], c))) for c in cuts[:-1][:k + 2]]
-    binding += [("binding", q, abs(read(residual["left"], q))) for q in (*solution.cutoffs, 1.0)]
+    binding = [("binding", c, abs(read(right, c))) for c in cuts[:-1][:k + 2]]
+    binding += [("binding", q, abs(left_at[q])) for q in (*solution.cutoffs, 1.0)]
     binding = [entry for entry in binding if abs(entry[1] - p_star) > PIN_TOLERANCE]
     interior = [("interior_gap", c, -(h - read(v, c)))
                 for c, h in zip(cuts[k + 1:-1], payoff.levels[k + 1:])]
-    pasting = [("smooth_pasting", q, jump(q)) for q in solution.cutoffs]
-    pasting += [("corner", c, jump(c)) for c in cuts[k + 2:-1]]
+    pasting = [("smooth_pasting", q, jump_at.get(q, 0.0)) for q in solution.cutoffs]
+    pasting += [("corner", c, jump_at.get(c, 0.0)) for c in cuts[k + 2:-1]]
 
     violations += (Violation(*entry) for entry in binding if entry[2] > _VERIFY_TOL)
     violations += (Violation(*entry[:3]) for entry in value._shape_violations())

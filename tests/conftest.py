@@ -58,6 +58,13 @@ FLAT_RAW = {
     "levels": [0.6],
 }
 
+# Each rate and r is valid alone, but mu = r / (lambda0 + lambda1) is 0 or inf.
+MU_OUT_OF_RANGE = {
+    "switch-rate-overflows": dict(CANON_RAW, lambda0=1e308, lambda1=1e308),
+    "mu-underflows": dict(CANON_RAW, lambda0=1e300, lambda1=1e300, r=1e-300),
+    "mu-overflows": dict(CANON_RAW, lambda0=1e-300, lambda1=1e-300, r=1e300),
+}
+
 
 def canon_variant(p_star: float, mu: float = 0.5) -> dict:
     """Canon cuts and levels with the stationary belief and mu = r / (lambda0 + lambda1) moved."""

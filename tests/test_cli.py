@@ -19,7 +19,7 @@ from persuade.cli import main
 from persuade.errors import (NoConvergence, OracleError, OutOfRange, PersuadeError,
                              ProblemValidationError, SimulationError, SolverError)
 
-from conftest import CANON_RAW, FLAT_RAW, SINGLE_DISC_RAW, canon_variant
+from conftest import CANON_RAW, FLAT_RAW, MU_OUT_OF_RANGE, SINGLE_DISC_RAW, canon_variant
 
 
 @pytest.fixture()
@@ -161,6 +161,31 @@ def test_unwritable_output_named_in_one_line(tmp_path, canon_config, capsys, tar
     assert not list(tmp_path.rglob(".persuade-tmp-*"))
 
 
+@pytest.mark.parametrize("unlink_fails", [False, True], ids=["unlink-works", "unlink-fails"])
+def test_write_atomic_propagates_non_os_error(tmp_path, monkeypatch, unlink_fails):
+    # A failure that is not an OSError propagates as it is; a failed cleanup
+    # of the temp file does not replace it.
+    def fail_replace(src, dst):
+        raise RuntimeError("replace interrupted")
+
+    asked = []
+
+    def fail_unlink(path):
+        asked.append(path)
+        raise PermissionError(errno.EACCES, "unlink refused", path)
+
+    monkeypatch.setattr(cli.os, "replace", fail_replace)
+    if unlink_fails:
+        monkeypatch.setattr(cli.os, "unlink", fail_unlink)
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="replace interrupted"):
+        cli._write_atomic(str(target), "a,b\n")
+    assert not target.exists()
+    left = sorted(str(path) for path in tmp_path.glob(".persuade-tmp-*"))
+    # Only a refused unlink leaves the temp file, and it was the one asked for.
+    assert left == asked
+
+
 def test_solve_flat_all_constant(tmp_path):
     config = tmp_path / "flat.json"
     config.write_text(json.dumps(FLAT_RAW))
@@ -299,6 +324,18 @@ def test_int_past_the_digit_limit_exits_2(tmp_path, canon_config, capsys):
                  "--policy", str(policy), "--paths", "10"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+@pytest.mark.parametrize("raw", MU_OUT_OF_RANGE.values(), ids=MU_OUT_OF_RANGE.keys())
+def test_mu_outside_zero_inf_exits_2(tmp_path, raw, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(config)]) == 2
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "sol.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") and "mu = r / (lambda0 + lambda1)" in line
+                                 for line in err)
+    assert not (tmp_path / "sol.csv").exists()
 
 
 @pytest.mark.parametrize("policy", [

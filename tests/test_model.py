@@ -23,7 +23,7 @@ from persuade.model import (
 
 from persuade.oracle import OracleResult, make_grid
 
-from conftest import CANON_RAW, ONE_ABOVE_RAW, PINNED_RAW, canon_variant, random_instance
+from conftest import CANON_RAW, MU_OUT_OF_RANGE, ONE_ABOVE_RAW, PINNED_RAW, canon_variant, random_instance
 
 
 # --- rates and discounting ----------------------------------------------------
@@ -276,6 +276,15 @@ def test_parse_rejects_int_beyond_float_range(raw, message):
     with pytest.raises(ProblemValidationError) as exc:
         parse_problem(raw)
     assert exc.value.problems == [message]
+
+
+@pytest.mark.parametrize("raw", MU_OUT_OF_RANGE.values(), ids=MU_OUT_OF_RANGE.keys())
+def test_parse_rejects_mu_outside_zero_inf(raw):
+    with pytest.raises(ProblemValidationError) as exc:
+        parse_problem(raw)
+    (message,) = exc.value.problems
+    assert message.startswith("mu = r / (lambda0 + lambda1) = ")
+    assert repr(raw["r"]) in message and repr(raw["lambda0"] + raw["lambda1"]) in message
 
 
 def test_load_problem_rejects_garbage_json(tmp_path):

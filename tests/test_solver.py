@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from persuade.dynamics import discounted_time_split
@@ -477,10 +478,10 @@ def test_verify_rejects_bad_point_count(canon_problem, canon_solution, n_points,
 
 
 def test_verify_without_even_points(canon_problem, canon_solution):
-    # The grid is then the cuts, their left neighbors and the segment ends.
+    # The grid is then the cuts and the segment ends.
     rep = verify_solution(canon_problem, canon_solution, n_points=0)
     assert rep.ok
-    assert rep.checked_points == 11
+    assert rep.checked_points == 7
 
 
 def test_verify_flags_perturbed_value(canon_problem, canon_solution):
@@ -770,6 +771,76 @@ def test_cutoff_matches_power_form_root():
 
             root = brentq(residual, arc.lo, p_next, xtol=1e-15)
             assert abs(arc.hi - root) <= 1e-12
+
+
+# --- gridless bounds (ROADMAP item 13) -----------------------------------------
+
+def slide_value(p, breaks, intercepts, slopes, p_star, mu):
+    """V_slide[f](p): the value of never disclosing, for a piecewise-linear flow f.
+
+    f(m) = intercepts[i] + slopes[i] m on [breaks[i], breaks[i + 1]].  The
+    silent belief is m_t = p* + (p - p*) s with s = e^{-Lambda t}, and the
+    discount weight r e^{-rt} dt is mu s^(mu - 1) ds, so the piece A + B m adds
+    [(A + B p*) s^mu + B (p - p*) mu / (mu + 1) s^(mu + 1)] between the s-values
+    of the breaks the drift crosses.  At p = p* the value is f(p*).
+    """
+    def piece(m):
+        return min(int(np.searchsorted(breaks, m, side="right")) - 1, len(intercepts) - 1)
+
+    if p == p_star:
+        i = piece(p_star)
+        return intercepts[i] + slopes[i] * p_star
+    crossed = [x for c in breaks[1:-1] if 0.0 < (x := (c - p_star) / (p - p_star)) < 1.0]
+    edges = sorted({0.0, 1.0, *crossed})
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        i = piece(p_star + (p - p_star) * 0.5 * (a + b))
+        level, tilt = intercepts[i] + slopes[i] * p_star, slopes[i] * (p - p_star) * mu / (mu + 1.0)
+        total += level * (b ** mu - a ** mu) + tilt * (b ** (mu + 1.0) - a ** (mu + 1.0))
+    return total
+
+
+def slide_bounds(problem, p):
+    """(V_slide[u](p), V_slide[cav u](p)): silence's value, and the Jensen bound."""
+    cuts, levels = problem.payoff.cuts, problem.payoff.levels
+    step = (cuts, levels, [0.0] * len(levels))
+    # cav u is the polyline through the (cut, level) points, flat on the top interval.
+    ys = levels + levels[-1:]
+    tilts = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(cuts, cuts[1:], ys, ys[1:])]
+    cav = (cuts, [y - t * x for x, y, t in zip(cuts, ys, tilts)], tilts)
+    p_star, mu = problem.stationary_belief, problem.discount_ratio
+    return tuple(slide_value(p, *flow, p_star, mu) for flow in (step, cav))
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.62, 0.9])
+def test_slide_value_matches_quadrature(canon_problem, p):
+    p_star, mu = canon_problem.stationary_belief, canon_problem.discount_ratio
+    crossed = [s for c in canon_problem.payoff.cuts if 0.0 < (s := (c - p_star) / (p - p_star)) < 1.0]
+    for flow, got in zip((canon_problem.payoff.value, canon_problem.payoff.envelope),
+                         slide_bounds(canon_problem, p)):
+        expected, _ = quad(lambda s: mu * s ** (mu - 1.0) * flow(p_star + (p - p_star) * s),
+                           0.0, 1.0, points=crossed or None, epsabs=1e-14, epsrel=1e-14, limit=200)
+        assert abs(got - expected) <= 1e-14, (p, got, expected)
+
+
+def test_value_between_gridless_bounds():
+    """V_slide[u] - eps <= v <= V_slide[cav u] + eps at 41 beliefs, eps = 1e-14 of the spread.
+
+    Silence is feasible, which gives the lower bound.  Under any disclosure
+    E p_t follows the silent drift m_t, and E u(p_t) <= cav u(m_t) by Jensen,
+    which gives the upper one.  Neither uses a grid, a period or random numbers.
+    """
+    rng = np.random.default_rng(13)
+    raws = [CANON_RAW] + [canon_variant(p_star, mu) for p_star in (0.3, 0.5, 0.7)
+                          for mu in (0.01, 1.0, 100.0)]
+    for problem in [parse_problem(raw) for raw in raws] + [random_instance(rng) for _ in range(200)]:
+        levels = problem.payoff.levels
+        eps = 1e-14 * (levels[-1] - levels[0])
+        value = solve(problem).value
+        for p in np.linspace(0.0, 1.0, 41).tolist():
+            lower, upper = slide_bounds(problem, p)
+            v = value.value(p)
+            assert lower - eps <= v <= upper + eps, (problem, p, lower, v, upper)
 
 
 # --- grouped evaluation and many steps ----------------------------------------
