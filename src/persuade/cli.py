@@ -209,7 +209,8 @@ def cmd_simulate(args) -> tuple[list, dict]:
     payload = {
         "policy": policy_name,
         "mean_discounted_payoff": result.mean_discounted_payoff,
-        "std_error": result.std_error,
+        # NaN for a single path, which JSON has no literal for.
+        "std_error": None if np.isnan(result.std_error) else result.std_error,
         "tail_bound": result.tail_bound,
         "config": dataclasses.asdict(config),
         "calibration": [

@@ -1,4 +1,4 @@
-"""Belief kinetics: no-information drift, binary splits, discounted reach times.
+"""Belief kinetics: no-information drift, binary splits, the split reach time.
 
 Without information the belief relaxes exponentially toward the stationary
 belief p* at the total switch rate Lambda = lambda0 + lambda1:
@@ -10,18 +10,12 @@ belief a martingale; the implementing signal sends the "high" message with
 probability beta1 in state 1 and beta0 in state 0, chosen so Bayes updating
 lands exactly on b (high) or a (low).
 
-Reach times enter all closed forms through the normalized discounted wait
-Y = E[1 - e^{-r T}] until the belief moves from p_from to p_to:
-
-  * repeated splitting that holds the belief at p_from and jumps to p_to at
-    the compensating intensity gives  Y = mu d / (p* - p_from + mu d)  with
-    d = p_to - p_from and mu = r / Lambda;
-  * silent sliding reaches p_to at the deterministic time
-    tau = ln((p* - p_from)/(p* - p_to)) / Lambda, giving
-    Y = 1 - ((p* - p_to)/(p* - p_from))^mu.
-
-Sliding is the slower route in discounted terms: Y_slide >= Y_split whenever
-both are defined.
+Repeated splitting that holds the belief at p_from and jumps to p_to at the
+compensating intensity has the normalized discounted wait
+Y = E[1 - e^{-r T}] = mu d / (p* - p_from + mu d), with d = p_to - p_from and
+mu = r / Lambda.  Silent sliding reaches p_to at the deterministic time
+ln((p* - p_from)/(p* - p_to)) / Lambda; its wait is the power of the
+solver's slide arc, and it is never shorter in discounted terms.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ __all__ = [
     "SplitSignal",
     "make_split_signal",
     "discounted_time_split",
-    "discounted_time_slide",
 ]
 
 _BAYES_TOL = 1e-12
@@ -141,27 +134,3 @@ def discounted_time_split(problem: Problem, p_from: float, p_to: float) -> float
             f"split from {p_from} to {p_to} moves against the drift pull (p* = {p_star})"
         )
     return mu * d / (pull + mu * d)
-
-
-def discounted_time_slide(problem: Problem, p_from: float, p_to: float) -> float:
-    """Discounted wait for the silent drift from p_from to p_to.
-
-    Requires p_to strictly between p_from and p* (drift approaches p* but
-    never attains it).  tau = ln((p*-p_from)/(p*-p_to)) / Lambda and
-    Y = 1 - ((p*-p_to)/(p*-p_from))^mu.
-    """
-    _check_belief("p_from", p_from)
-    _check_belief("p_to", p_to)
-    if p_to == p_from:
-        return 0.0
-    p_star = problem.stationary_belief
-    gap_from = p_star - p_from
-    gap_to = p_star - p_to
-    between = (p_from < p_to < p_star) or (p_star < p_to < p_from)
-    if not between:
-        raise OutOfRange(
-            f"slide from {p_from} cannot reach {p_to} (p* = {p_star}); "
-            "drift converges to p* without attaining it"
-        )
-    return 1.0 - (gap_to / gap_from) ** problem.discount_ratio
-

@@ -30,7 +30,6 @@ from .errors import OutOfRange, ProblemValidationError
 
 __all__ = [
     "PIN_TOLERANCE",
-    "ENVELOPE_SLACK",
     "MarkovRates",
     "Discounting",
     "StepPayoff",
@@ -45,7 +44,7 @@ PIN_TOLERANCE = 1e-12
 
 #: Strict-concavity slack: an interior (cut, level) point must clear the
 #: chord of its neighbours by more than this.
-ENVELOPE_SLACK = 1e-12
+_ENVELOPE_SLACK = 1e-12
 
 #: Cuts closer together than this are rejected as duplicates.
 _DUPLICATE_TOL = 1e-12
@@ -60,11 +59,13 @@ def _is_number(x) -> bool:
 
 
 def _integer(name: str, value) -> int:
-    """value as an int if it is a Python or numpy integer, else OutOfRange naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+    """value as an int if it is a Python or numpy integer (not a bool), else OutOfRange naming it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise OutOfRange(f"{name} must be an integer, got {value!r}")
 
 
 def _locate(p, breaks=None, side: str = "right"):
@@ -208,7 +209,7 @@ def _check_envelope(cuts: tuple[float, ...], levels: tuple[float, ...]) -> None:
         x0, x1, x2 = cuts[i], cuts[i + 1], cuts[i + 2]
         y0, y1, y2 = levels[i], levels[i + 1], levels[i + 2]
         chord = y0 + (y2 - y0) * (x1 - x0) / (x2 - x0)
-        if y1 - chord <= ENVELOPE_SLACK:
+        if y1 - chord <= _ENVELOPE_SLACK:
             bad.append(
                 f"point ({x1}, {y1}) is not strictly above the chord from "
                 f"({x0}, {y0}) to ({x2}, {y2})"

@@ -36,11 +36,9 @@ __all__ = [
     "value_iteration",
     "evaluate_policy_discrete",
     "contact_gap",
-    "dp_split_mask",
     "myopic_policy",
     "slide_only_policy",
     "full_disclosure_policy",
-    "CONTACT_TOL",
 ]
 
 _DEDUPE_TOL = 1e-14
@@ -52,9 +50,6 @@ _POLICY_RESIDUAL_TOL = 1e-8
 DEFAULT_TOL = 1e-6
 #: Value-iteration steps before NoConvergence is raised.
 _MAX_ITER = 200_000
-# A hull-vs-payoff gap above this marks a grid point where the DP strictly
-# prefers splitting; below it the point is treated as a hull contact (slide).
-CONTACT_TOL = 5e-7
 
 
 class BeliefGrid:
@@ -207,11 +202,6 @@ def contact_gap(problem: Problem, result: OracleResult) -> np.ndarray:
     hull, phi = _bellman_step(pts, problem.payoff.value(pts), result.values,
                               _discount_factor(problem, result.delta), pts)
     return hull - phi
-
-
-def dp_split_mask(problem: Problem, result: OracleResult) -> np.ndarray:
-    """Boolean mask of grid points where the DP strictly prefers splitting."""
-    return contact_gap(problem, result) > CONTACT_TOL
 
 
 def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: float,

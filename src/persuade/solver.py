@@ -124,8 +124,10 @@ class ValueSegment:
 class PiecewiseValue:
     """Ordered segments covering [0, 1].
 
-    Construction checks only the structure (order, coverage, no empty
-    segment), so that deliberately broken values can still be fed to
+    Construction checks the structure (order, coverage, no empty segment)
+    and that each segment's value and slope at its ends are finite numbers,
+    raising SolverError naming the first segment that fails.  It checks no
+    shape rule, so that deliberately misshapen values can still be fed to
     verify_solution; the solver additionally runs check_shape on its output.
     """
 
@@ -146,7 +148,14 @@ class PiecewiseValue:
         self.segments = segments
         self._los = np.array([s.lo for s in segments])
         # lo, hi, v(lo), v'(lo), v(hi), v'(hi) per segment: the shape rules read only these.
-        self._ends = np.array([(s.lo, s.hi, *s.at(s.lo), *s.at(s.hi)) for s in segments])
+        with np.errstate(all="ignore"):
+            self._ends = np.array([(s.lo, s.hi, *s.at(s.lo), *s.at(s.hi)) for s in segments])
+        # A NaN passes every comparison the shape rules and verify_solution make.
+        finite = np.isfinite(self._ends).all(axis=1)
+        if not finite.all():
+            seg = segments[int(np.argmin(finite))]
+            raise SolverError(f"segment [{seg.lo}, {seg.hi}] has a value or slope at its ends "
+                              "that is not a finite number")
 
     def value(self, p):
         return self._evaluate(p, "right")[0]

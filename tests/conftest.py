@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from persuade.model import Problem, parse_problem
+from persuade.oracle import OracleResult, contact_gap
 from persuade.solver import Solution, solve
 
 CANON_RAW = {
@@ -64,6 +65,27 @@ MU_OUT_OF_RANGE = {
     "mu-underflows": dict(CANON_RAW, lambda0=1e300, lambda1=1e300, r=1e-300),
     "mu-overflows": dict(CANON_RAW, lambda0=1e-300, lambda1=1e-300, r=1e300),
 }
+
+
+# A hull-vs-payoff gap above this marks a grid point where the DP strictly
+# prefers splitting; below it the point is treated as a hull contact (slide).
+CONTACT_TOL = 5e-7
+
+
+def dp_split_mask(problem: Problem, result: OracleResult) -> np.ndarray:
+    """Boolean mask of grid points where the DP strictly prefers splitting."""
+    return contact_gap(problem, result) > CONTACT_TOL
+
+
+def slide_reach_time(problem: Problem, p_from: float, p_to: float) -> float:
+    """Discounted wait Y = 1 - ((p* - p_to)/(p* - p_from))^mu of the silent drift.
+
+    The drift takes tau = ln((p* - p_from)/(p* - p_to)) / Lambda to move from
+    p_from to p_to, so p_to has to lie between p_from and p*; the power is
+    the one a slide arc of the solver's value applies.
+    """
+    p_star = problem.stationary_belief
+    return 1.0 - ((p_star - p_to) / (p_star - p_from)) ** problem.discount_ratio
 
 
 def canon_variant(p_star: float, mu: float = 0.5) -> dict:

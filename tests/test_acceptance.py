@@ -13,10 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from persuade.dynamics import discounted_time_slide, discounted_time_split
+from persuade.dynamics import discounted_time_split
 from persuade.model import parse_problem
 from persuade.oracle import (
-    dp_split_mask,
     evaluate_policy_discrete,
     make_grid,
     myopic_policy,
@@ -25,7 +24,7 @@ from persuade.oracle import (
 from persuade.sim import SimConfig, simulate
 from persuade.solver import solve, verify_solution
 
-from conftest import CANON_RAW, SINGLE_DISC_RAW, random_instance
+from conftest import CANON_RAW, SINGLE_DISC_RAW, dp_split_mask, random_instance, slide_reach_time
 
 N_RANDOM = 100
 A8_SEED = 2024
@@ -71,7 +70,7 @@ def test_a1_slide_never_beats_split_reach_time():
         while abs(p_from - p_star) < 1e-9:
             p_from = rng.uniform(0.0, 1.0)
         p_to = p_from + rng.uniform(1e-9, 1.0 - 1e-9) * (p_star - p_from)
-        y_slide = discounted_time_slide(prob, p_from, p_to)
+        y_slide = slide_reach_time(prob, p_from, p_to)
         y_split = discounted_time_split(prob, p_from, p_to)
         worst = min(worst, y_slide - y_split)
     elapsed = time.perf_counter() - start

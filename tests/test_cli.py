@@ -577,6 +577,31 @@ def test_every_output_gets_a_manifest(tmp_path, canon_config, command, extra, wr
         assert json.loads((tmp_path / name).read_text())["command"] == command
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which JSON has no literal for."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command, out, extra", [
+    ("solve", "sol.csv", []),
+    ("oracle", "o.csv", ["--delta", "0.05", "--grid-gap", "0.01"]),
+    ("simulate", "sim.json", ["--paths", "100"]),
+    ("simulate", "sim.json", ["--paths", "1"]),
+    ("sweep", "s.csv", ["--deltas", "0.1", "--grid-gap", "0.01"]),
+], ids=["solve", "oracle", "simulate", "simulate-one-path", "sweep"])
+def test_every_json_file_written_is_standard_json(tmp_path, canon_config, command, out, extra):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main([command, "--config", canon_config, "--out", str(out_dir / out), *extra]) == 0
+    written = {path.name: _strict_json(path.read_text()) for path in out_dir.glob("*.json")}
+    assert out + ".manifest.json" in written
+    if extra == ["--paths", "1"]:
+        # One path has no spread to estimate, so the standard error is null.
+        assert written[out]["std_error"] is None
+
+
 def test_failed_write_leaves_no_manifest(tmp_path, canon_config, capsys):
     # The table is written, the solution JSON is not, and no output gets a manifest.
     (tmp_path / "sol.json").mkdir()

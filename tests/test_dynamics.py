@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from persuade.dynamics import (
-    discounted_time_slide,
     discounted_time_split,
     drift_map,
     make_split_signal,
 )
 from persuade.errors import OutOfRange
 from persuade.model import MarkovRates
+
+from conftest import slide_reach_time
 
 
 # --- drift --------------------------------------------------------------------
@@ -143,24 +144,6 @@ def test_split_against_the_pull_raises(canon_problem):
         discounted_time_split(canon_problem, 0.8, 0.9)
 
 
-def test_slide_reach_time_canon_values(canon_problem):
-    y = discounted_time_slide(canon_problem, 0.2, 0.4)
-    assert y == pytest.approx(1.0 - (1.0 / 3.0) ** 0.5, abs=1e-15)
-
-
-def test_slide_unreachable_targets(canon_problem):
-    with pytest.raises(OutOfRange, match="cannot reach"):
-        discounted_time_slide(canon_problem, 0.2, 0.5)     # p* itself unattained
-    with pytest.raises(OutOfRange, match="cannot reach"):
-        discounted_time_slide(canon_problem, 0.2, 0.6)     # beyond p*
-    with pytest.raises(OutOfRange, match="cannot reach"):
-        discounted_time_slide(canon_problem, 0.2, 0.1)     # against the drift
-
-
-def test_slide_zero_distance(canon_problem):
-    assert discounted_time_slide(canon_problem, 0.3, 0.3) == 0.0
-
-
 def test_slide_never_faster_than_split(canon_problem):
     rng = np.random.default_rng(17)
     p_star = canon_problem.stationary_belief
@@ -169,7 +152,7 @@ def test_slide_never_faster_than_split(canon_problem):
         if abs(p_from - p_star) < 1e-6:
             continue
         p_to = p_from + rng.uniform(1e-6, 1.0) * (p_star - p_from) * 0.999
-        slide = discounted_time_slide(canon_problem, p_from, p_to)
+        slide = slide_reach_time(canon_problem, p_from, p_to)
         split = discounted_time_split(canon_problem, p_from, p_to)
         assert slide >= split - 1e-12
         assert 0.0 <= split <= 1.0 and 0.0 <= slide <= 1.0

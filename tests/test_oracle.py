@@ -15,7 +15,6 @@ from persuade.oracle import (
     _HULL_BEND_TOL,
     _upper_hull,
     contact_gap,
-    dp_split_mask,
     evaluate_policy_discrete,
     full_disclosure_policy,
     make_grid,
@@ -25,7 +24,7 @@ from persuade.oracle import (
 )
 from persuade.solver import MarkovPolicy
 
-from conftest import CANON_RAW
+from conftest import CANON_RAW, dp_split_mask
 
 
 # --- grids --------------------------------------------------------------------

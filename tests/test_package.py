@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -30,6 +31,45 @@ def test_package_root_holds_only_the_version():
     exported = set().union(*(importlib.import_module(m).__all__ for m in MODULES[1:]))
     rebound = sorted(exported & set(vars(persuade)))
     assert not rebound, f"the package root binds submodule names {rebound}"
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Public names whose program caller is still to come.
+AWAITING_A_CALLER = {
+    # ROADMAP item 7: `persuade verify` reads a solution file back through it.
+    "persuade.solver.solution_from_dict",
+}
+
+
+def _program_texts():
+    """(path from the repo root, text) of each source module, demo, benchmark script and pyproject.toml."""
+    paths = [os.path.join(ROOT, "pyproject.toml")]
+    for folder in ("src/persuade", "demos", "perfbench"):
+        directory = os.path.join(ROOT, folder)
+        paths += [os.path.join(directory, name) for name in sorted(os.listdir(directory))
+                  if name.endswith(".py")]
+    for path in paths:
+        with open(path) as handle:
+            yield os.path.relpath(path, ROOT), handle.read()
+
+
+def test_public_functions_have_a_program_caller():
+    # A function or constant that only the tests call belongs in the tests.
+    # Classes are exempt: they name what the public functions return.
+    texts = list(_program_texts())
+    uncalled = []
+    for module in MODULES[1:]:
+        mod = importlib.import_module(module)
+        own = os.path.join("src", *module.split(".")) + ".py"
+        for name in mod.__all__:
+            qualname = f"{module}.{name}"
+            if inspect.isclass(getattr(mod, name)) or qualname in AWAITING_A_CALLER:
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(text) for path, text in texts if path != own):
+                uncalled.append(qualname)
+    assert not uncalled, f"public names no program calls: {uncalled}"
 
 
 # Every parameter with a default, over the functions and the public methods of

@@ -38,6 +38,7 @@ def test_default_period_scales_with_rates(canon_problem):
     {"delta": 0.0}, {"horizon": 0}, {"n_paths": 0}, {"initial_belief": 1.5},
     {"initial_belief": -0.1}, {"horizon": 10**7 + 1}, {"n_paths": 10**7 + 1},
     {"seed": -1}, {"horizon": 100.5}, {"n_paths": 10.5}, {"seed": 1.5},
+    {"horizon": True}, {"n_paths": True}, {"seed": False},
 ])
 def test_config_validation(kwargs):
     base = {"delta": 0.01, "horizon": 100, "n_paths": 10, "seed": 0,

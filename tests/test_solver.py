@@ -303,6 +303,26 @@ def test_solution_dict_round_trip_is_byte_identical(raw):
     assert json.dumps(solution_from_dict(d).to_dict()) == json.dumps(d)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("index, key", [
+    (1, "intercept"), (1, "slope"),
+    (3, "level"), (3, "start"), (3, "center"), (3, "exponent"),
+], ids=str)
+def test_solution_from_dict_rejects_non_finite_segment(canon_solution, index, key, value):
+    # Segment 1 of canon is a line and segment 3 an arc.  A NaN passes every
+    # comparison verify_solution makes, so such a value would be reported clean.
+    d = json.loads(json.dumps(canon_solution.to_dict()))
+    seg = d["segments"][index]
+    seg[key] = value
+    if key == "center" and value == math.inf:
+        match = "slide arc must lie strictly above its center"
+    else:
+        match = (rf"segment \[{seg['lo']}, {seg['hi']}\] has a value or slope at its ends "
+                 "that is not a finite number")
+    with pytest.raises(SolverError, match=match):
+        solution_from_dict(d)
+
+
 # --- value/policy container contracts -----------------------------------------
 
 def test_piecewise_value_rejects_gap():
@@ -471,6 +491,7 @@ def test_verify_canon_clean(canon_problem, canon_solution):
 
 @pytest.mark.parametrize("n_points, match", [
     (-1, "n_points must be non-negative, got -1"), (2.5, "n_points must be an integer, got 2.5"),
+    (True, "n_points must be an integer, got True"),
 ])
 def test_verify_rejects_bad_point_count(canon_problem, canon_solution, n_points, match):
     with pytest.raises(OutOfRange, match=match):
