@@ -230,7 +230,7 @@ def cmd_sweep(args) -> tuple[list, dict]:
     deltas = args.deltas
     grid = make_grid(problem, args.grid_gap, extra=solution.cutoffs)
     v_solver = solution.value.value(grid.points)
-    rows = []
+    rows, runs = [], []
     for delta in deltas:
         vi = value_iteration(problem, delta, grid, tol=args.tol)
         pol = evaluate_policy_discrete(problem, solution.policy, delta, grid)
@@ -239,11 +239,14 @@ def cmd_sweep(args) -> tuple[list, dict]:
             float(np.max(np.abs(vi.values - v_solver))),
             float(np.max(np.abs(pol.values - v_solver))),
         ))
+        runs.append({"delta": float(delta), "iterations": vi.iterations,
+                     "certified_bound": vi.bound, "policy_residual": pol.residual})
     header = ["delta", "value_iteration_sup_error", "policy_sup_error"]
     return [(args.out, _csv_text(header, rows))], {
         "deltas": list(map(float, deltas)),
         "grid_gap": args.grid_gap,
         "tol": args.tol,
+        "runs": runs,
     }
 
 

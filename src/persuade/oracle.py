@@ -12,15 +12,19 @@ monotone and shifts a constant c to x c, the last step's smallest and
 largest change bracket the fixed point (MacQueen 1966; Porteus 1971):
 iteration stops once the bracket is narrow and returns its lower end.
 
-Fixed policies are valued exactly by solving the sparse linear system of
-their one-period transition instead of iterating, so policy values carry
-no iteration error on top of the discretization.
+Fixed policies are valued exactly by solving the linear system of their
+one-period transition instead of iterating, so policy values carry no
+iteration error on top of the discretization.  Drift moves every silent
+belief toward p*, so in dependency order that system is block triangular
+with few and small cyclic blocks; it is solved block by block, by
+elimination, with numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -204,21 +208,161 @@ def contact_gap(problem: Problem, result: OracleResult) -> np.ndarray:
     return hull - phi
 
 
+def _row_lists(values: np.ndarray, mask: np.ndarray) -> list[list]:
+    """The masked entries of each row of a 2-D array, as Python lists."""
+    flat = values[mask].tolist()
+    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _blocks(reads: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """Strongly connected blocks of the graph "node i reads node k" (Tarjan 1972).
+
+    Iterative depth-first search.  Blocks come out in dependency order: each
+    reads, outside itself, only nodes of earlier blocks.  A block lists its
+    nodes in post-order, each after the nodes of the block it reads, except
+    its closers: the nodes read while still on the search path.  A block of
+    two or more nodes holds a cycle, so it has at least one closer.
+    """
+    n = len(reads)
+    index = [-1] * n         # discovery number; n once the node's block is out
+    low = [0] * n
+    on_path = [False] * n
+    closes = [False] * n
+    finished, blocks = [], []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        on_path[root] = True
+        path = [(root, iter(reads[root]))]
+        while path:
+            node, pending = path[-1]
+            for k in pending:
+                if index[k] < 0:
+                    index[k] = low[k] = count
+                    count += 1
+                    on_path[k] = True
+                    path.append((k, iter(reads[k])))
+                    break
+                if index[k] < low[node]:
+                    low[node] = index[k]
+                if on_path[k]:
+                    closes[k] = True
+            else:
+                path.pop()
+                on_path[node] = False
+                found = index[node]
+                if path and low[node] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[node]
+                if low[node] < found:
+                    finished.append(node)
+                    continue
+                # The block is this node and every node finished since it was found.
+                index[node] = n
+                if not finished or index[finished[-1]] < found:
+                    blocks.append(([node], []))
+                    continue
+                start = len(finished)
+                while start and index[finished[start - 1]] > found:
+                    start -= 1
+                block = finished[start:] + [node]
+                del finished[start:]
+                for k in block:
+                    index[k] = n
+                blocks.append((block, [k for k in block if closes[k]]))
+    return blocks
+
+
+def _solve_block(block: list[int], closers: list[int], col: list[float],
+                 reads: list[list[int]], coefs: list[list[float]]) -> None:
+    """Values of one cyclic block, written into col over its right-hand sides.
+
+    The k closers' values z are held unknown.  A sweep over the block in
+    post-order gives each value as g + A z; the closers' own rows give the
+    dense k x k system (I - C) z = d, and a last sweep with z known gives
+    the values.  The sweeps run one column of [g | A] at a time.
+    """
+    size = len(block)
+    # Sweep positions: a node's own value at its place in the block, a
+    # read of closer s at size + s, which holds that closer's value as known.
+    place = {node: p for p, node in enumerate(block)}
+    source = place | {node: size + s for s, node in enumerate(closers)}
+    start, steps = [], []
+    for p, i in enumerate(block):
+        total, ks, cs = col[i], [], []
+        for k, c in zip(reads[i], coefs[i]):
+            if k in source:
+                ks.append(source[k])
+                cs.append(c)
+            else:
+                total += c * col[k]     # an earlier block's final value
+        start.append(total)
+        steps.append((p, ks, cs))
+
+    def sweep(values: list[float]) -> list[float]:
+        value = values.__getitem__
+        for p, ks, cs in steps:
+            values[p] += sum(map(mul, cs, map(value, ks)))
+        return values
+
+    at = [place[node] for node in closers]
+    known = np.eye(len(closers)).tolist()
+    columns = (sweep([0.0] * size + unit) for unit in known)
+    a = np.array([[column[p] for p in at] for column in columns]).T
+    g = sweep(start + [0.0] * len(closers))
+    z = np.linalg.solve(np.eye(len(closers)) - a, [g[p] for p in at])
+    for i, value in zip(block, sweep(start + z.tolist())):
+        col[i] = value
+
+
+def _solve_in_drift_order(cols: np.ndarray, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Exact solution of w = rhs + sum_j weights[:, j] * w[cols[:, j]].
+
+    The weights are nonnegative with row sums below 1.  Row i reads node k
+    through a nonzero weight at column k != i; its weight on itself goes to
+    its diagonal.  The rows are solved block by block in the dependency
+    order of _blocks, the block triangular form of Duff and Reid (1978): a
+    block of one node by substitution, a cyclic block by _solve_block.
+    Drift moves every belief toward p*, so the graph is nearly acyclic:
+    every cycle passes through a node next to p* or a node that a split
+    reads.  A block with k closers (k < its size) costs a dense k x k solve
+    and k + 2 sweeps of the block, so the time is O(n + sum of k |block|)
+    and the memory O(n + k^2) for the largest k.  Splits to a region's own
+    ends at grid points, as the solver's and the myopic policy make on a
+    grid that holds the cutoffs, leave one cyclic block with one closer at
+    most.
+    """
+    n = rhs.size
+    own = cols == np.arange(n)[:, None]
+    linked = (weights != 0.0) & ~own
+    diag = 1.0 - np.sum(weights, axis=1, where=own)
+    col = (rhs / diag).tolist()
+    reads = _row_lists(cols, linked)
+    coefs = _row_lists(weights / diag[:, None], linked)
+    value = col.__getitem__
+    for block, closers in _blocks(reads):
+        if closers:
+            _solve_block(block, closers, col, reads, coefs)
+        else:
+            i = block[0]
+            col[i] += sum(map(mul, coefs[i], map(value, reads[i])))
+    return np.array(col)
+
+
 def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: float,
                              grid: BeliefGrid) -> OracleResult:
     """Exact grid value of a fixed policy in the discrete game.
 
-    Builds the one-period transition (drift, then the policy's action at the
-    drifted belief) as a sparse matrix over grid nodes and solves
-    (I - x M) w = (1 - x) c directly.  Posterior beliefs that fall between
-    nodes are linearly interpolated, which is exact whenever the policy's
-    split targets are grid points.
+    Builds the one-period transition M (drift, then the policy's action at
+    the drifted belief), four weights per grid node, and solves
+    w = (1 - x) c + x M w exactly by elimination in drift order
+    (_solve_in_drift_order).  Posterior beliefs that fall between nodes are
+    linearly interpolated, which is exact whenever the policy's split
+    targets are grid points.
     """
-    # scipy.sparse is imported here, not at module level, so that importing
-    # the package does not pay for it.
-    from scipy.sparse import csr_matrix, identity
-    from scipy.sparse.linalg import spsolve
-
     a, b = drift_map(problem.rates, delta)
     x = _discount_factor(problem, delta)
     pts = grid.points
@@ -234,14 +378,12 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
         t = (target - pts[j]) / (pts[j + 1] - pts[j])
         cols += [j, j + 1]
         vals += [mass * (1.0 - t), mass * t]
-    # Four entries per node, two per target.  A slide's high target is its low
-    # one with zero mass, and the matrix sums duplicate entries away.
-    rows = np.repeat(np.arange(n), 4)
-    cols, vals = np.column_stack(cols).ravel(), np.column_stack(vals).ravel()
-    transition = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    system = (identity(n, format="csr") - x * transition).tocsc()
-    w = spsolve(system, (1.0 - x) * c)
-    residual = float(np.max(np.abs(w - ((1.0 - x) * c + x * (transition @ w)))))
+    # Four entries per node, two per target; a slide's high target is its
+    # low one with zero mass.
+    cols, vals = np.column_stack(cols), np.column_stack(vals)
+    rhs = (1.0 - x) * c
+    w = _solve_in_drift_order(cols, x * vals, rhs)
+    residual = float(np.max(np.abs(w - (rhs + x * np.sum(vals * w[cols], axis=1)))))
     result = OracleResult(grid, w, delta, 1, residual)
     if residual > _POLICY_RESIDUAL_TOL:
         raise NoConvergence(

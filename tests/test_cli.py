@@ -6,6 +6,7 @@ import argparse
 import csv
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -544,6 +545,22 @@ def test_sweep_errors_shrink_with_delta(tmp_path, canon_config):
     _, rows = read_csv(out)
     assert float(rows[1][1]) < float(rows[0][1])
     assert float(rows[1][2]) < float(rows[0][2])
+
+
+def test_sweep_manifest_records_each_run(tmp_path, canon_config):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", canon_config, "--out", str(out),
+                 "--deltas", "0.1,0.02", "--grid-gap", "0.005", "--tol", "1e-6"])
+    assert code == 0
+    runs = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["parameters"]["runs"]
+    assert [run["delta"] for run in runs] == [0.1, 0.02]
+    for run in runs:
+        assert sorted(run) == ["certified_bound", "delta", "iterations", "policy_residual"]
+        assert run["iterations"] >= 1
+        assert 0.0 <= run["certified_bound"] <= 1e-6 * math.exp(-run["delta"])
+        assert 0.0 <= run["policy_residual"] <= 1e-8
+    # A shorter period discounts less per step, so value iteration needs more steps.
+    assert runs[1]["iterations"] > runs[0]["iterations"]
 
 
 def test_sweep_rejects_empty_delta_list(tmp_path, canon_config):

@@ -22,7 +22,7 @@ from persuade.oracle import (
     slide_only_policy,
     value_iteration,
 )
-from persuade.solver import MarkovPolicy
+from persuade.solver import MarkovPolicy, solve
 
 from conftest import CANON_RAW, dp_split_mask
 
@@ -406,6 +406,104 @@ def test_policy_values_match_per_node_reference(canon_problem, canon_solution):
         got = evaluate_policy_discrete(canon_problem, policy, 0.02, grid).values
         want = _per_node_policy_values(canon_problem, policy, 0.02, grid)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=name)
+
+
+def _many_step_problem(steps: int):
+    """Uniform cuts, levels 1 - (1 - c)^2 at the left cuts, p* = 0.37, mu = 0.5."""
+    cuts = np.linspace(0.0, 1.0, steps + 1)
+    return parse_problem({
+        "lambda0": 0.74, "lambda1": 1.26, "r": 1.0,
+        "cuts": cuts.tolist(), "levels": (1.0 - (1.0 - cuts[:-1]) ** 2).tolist(),
+    })
+
+
+@pytest.fixture
+def cyclic_blocks(monkeypatch):
+    """Per policy solve, the closer count of each cyclic block, in call order."""
+    counts = []
+    blocks = oracle._blocks
+
+    def recording(reads):
+        found = blocks(reads)
+        counts.append([len(closers) for _, closers in found if closers])
+        return found
+
+    monkeypatch.setattr(oracle, "_blocks", recording)
+    return counts
+
+
+# (instance, policy, grid gap, closers per cyclic block).  The canon grid is
+# the benchmark's, 4006 points.  Full disclosure closes a cycle through
+# beliefs 0 and 1, sliding one across p*.
+FINE_GRID_CASES = [
+    ("canon", "sigma_star", 2.5e-4, [1]),
+    ("canon", "myopic", 2.5e-4, [1]),
+    ("canon", "full_disclosure", 2.5e-4, [1]),
+    ("canon", "slide_only", 2.5e-4, [1]),
+    ("200 steps", "sigma_star", 1e-4, [1]),
+]
+
+
+@pytest.mark.parametrize("instance, name, gap, closers", FINE_GRID_CASES,
+                         ids=[f"{case[0]}-{case[1]}" for case in FINE_GRID_CASES])
+def test_elimination_matches_per_node_reference_on_fine_grids(
+        canon_problem, cyclic_blocks, instance, name, gap, closers):
+    problem = canon_problem if instance == "canon" else _many_step_problem(200)
+    solution = solve(problem)
+    policy = {"sigma_star": solution.policy, "myopic": myopic_policy(problem),
+              "full_disclosure": full_disclosure_policy(problem),
+              "slide_only": slide_only_policy(problem)}[name]
+    grid = make_grid(problem, gap, extra=solution.cutoffs)
+    got = evaluate_policy_discrete(problem, policy, 1e-3, grid).values
+    want = _per_node_policy_values(problem, policy, 1e-3, grid)
+    assert cyclic_blocks == [closers]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_elimination_solves_random_systems(seed):
+    # Reads of nearby nodes plus a few long jumps make self-reads and many
+    # cyclic blocks, up to a dozen closers each; the elimination must agree
+    # with a dense solve of (I - W) w = rhs.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    near = np.clip(np.arange(n)[:, None] + rng.integers(-2, 3, size=(n, 4)), 0, n - 1)
+    cols = np.where(rng.random((n, 4)) < 0.05, rng.integers(0, n, size=(n, 4)), near)
+    weights = rng.random((n, 4)) * (rng.random((n, 4)) < 0.6)
+    weights *= rng.uniform(0.0, 0.999, size=(n, 1)) / np.maximum(weights.sum(axis=1, keepdims=True), 1e-300)
+    rhs = rng.normal(size=n)
+    dense = np.eye(n)
+    np.add.at(dense, (np.repeat(np.arange(n), 4), cols.ravel()), -weights.ravel())
+    got = oracle._solve_in_drift_order(cols, weights, rhs)
+    np.testing.assert_allclose(got, np.linalg.solve(dense, rhs), rtol=0.0, atol=1e-11)
+
+
+def test_end_split_policies_have_one_cycle_at_most(cyclic_blocks, canon_solution,
+                                                   pinned_problem, single_disc_problem):
+    # Slides and splits to a region's own ends, at grid points, move toward
+    # p*, so only the region around p* can hold a cycle.
+    problems = [canon_solution.problem, pinned_problem, single_disc_problem,
+                _many_step_problem(1000)]
+    for problem in problems:
+        solution = solve(problem)
+        grid = make_grid(problem, 2e-4, extra=solution.cutoffs)
+        for policy in (solution.policy, myopic_policy(problem)):
+            evaluate_policy_discrete(problem, policy, 1e-3, grid)
+    assert len(cyclic_blocks) == 2 * len(problems)
+    assert all(found in ([], [1]) for found in cyclic_blocks), cyclic_blocks
+
+
+def test_cycles_off_the_grid_are_solved_block_by_block(cyclic_blocks):
+    # Without the cutoffs on the grid, each of the solver's split regions
+    # above p* reads its low end by interpolation and closes its own cycle.
+    problem = _many_step_problem(1000)
+    solution = solve(problem)
+    grid = make_grid(problem, 2e-4)
+    got = evaluate_policy_discrete(problem, solution.policy, 1e-3, grid).values
+    (found,) = cyclic_blocks
+    assert len(found) > 10 and max(found) == 1
+    want = _per_node_policy_values(problem, solution.policy, 1e-3, grid)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 # --- reference policies -------------------------------------------------------

@@ -14,6 +14,8 @@ import pytest
 
 import persuade
 
+from conftest import CANON_RAW
+
 MODULES = ("persuade", "persuade.errors", "persuade.model", "persuade.dynamics",
            "persuade.solver", "persuade.oracle", "persuade.sim", "persuade.cli")
 
@@ -118,9 +120,39 @@ def _modules_loaded_by_import_persuade():
 
 
 def test_import_does_not_load_scipy_sparse():
-    # scipy.sparse is only needed to value a fixed policy exactly; the
-    # oracle imports it there, not when the package is imported.
+    # The package needs numpy only; scipy is a test dependency.
     assert "scipy.sparse" not in _modules_loaded_by_import_persuade()
+
+
+# Runs with scipy blocked: any import of it raises ImportError.
+NO_SCIPY_SESSION = """
+import json, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, SRC)
+from persuade import cli, model, oracle, solver
+with open("canon.json", "w") as handle:
+    json.dump(CANON, handle)
+for argv in (["oracle", "--delta", "0.05"], ["sweep", "--deltas", "0.1,0.05"]):
+    code = cli.main(argv + ["--config", "canon.json", "--out", argv[0] + ".csv",
+                            "--grid-gap", "0.01"])
+    if code:
+        sys.exit(f"persuade {argv[0]} exited {code}")
+problem = model.load_problem("canon.json")
+solution = solver.solve(problem)
+grid = oracle.make_grid(problem, 0.01, extra=solution.cutoffs)
+for policy in (solution.policy, oracle.myopic_policy(problem),
+               oracle.slide_only_policy(problem), oracle.full_disclosure_policy(problem)):
+    oracle.evaluate_policy_discrete(problem, policy, 0.05, grid)
+"""
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(persuade.__file__))
+    code = f"SRC = {src!r}\nCANON = {CANON_RAW!r}\n" + NO_SCIPY_SESSION
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["oracle.csv", "sweep.csv"]
 
 
 def test_import_loads_the_library_but_not_the_cli():
