@@ -53,7 +53,7 @@ def main() -> None:
 
     report = verify_solution(problem, solution)
     print(f"\nverification: {len(report.violations)} violations over "
-          f"{report.checked_points} grid points "
+          f"{report.checked_points} checked beliefs "
           f"(worst binding gap {report.max_binding_gap:.2e})")
 
     if args.plot is None:

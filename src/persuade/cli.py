@@ -138,11 +138,16 @@ def cmd_solve(args) -> tuple[list, dict]:
     ]))
     value = solution.value
     lows, highs = solution.policy.targets(pts)
+    # The cutoffs increase, so the one nearest a point is one of its two
+    # neighbours; an inf stands in for a missing neighbour.
+    cutoffs = np.array(solution.cutoffs + (np.inf,))
+    above = np.searchsorted(cutoffs, pts)
+    near = np.minimum(np.abs(pts - cutoffs[above]), np.abs(pts - cutoffs[above - 1]))
     rows = [
         (p, float(problem.payoff.value(p)), float(problem.payoff.envelope(p)), value.value(p),
          value.derivative(p), f"split:{low!r}:{high!r}" if low < high else "slide",
-         any(abs(p - q) <= _CUTOFF_MATCH_TOL for q in solution.cutoffs))
-        for p, low, high in zip(pts.tolist(), lows.tolist(), highs.tolist())
+         gap <= _CUTOFF_MATCH_TOL)
+        for p, low, high, gap in zip(pts.tolist(), lows.tolist(), highs.tolist(), near.tolist())
     ]
     header = ["belief", "u", "cav_u", "v", "v_prime", "region", "is_cutoff"]
     json_path = _solution_json_path(args.out)

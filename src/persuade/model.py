@@ -134,6 +134,7 @@ class StepPayoff:
 
     cuts: tuple[float, ...]
     levels: tuple[float, ...]
+    _cuts: np.ndarray = field(init=False, repr=False, compare=False)
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
     _levels: np.ndarray = field(init=False, repr=False, compare=False)
     _env_y: np.ndarray = field(init=False, repr=False, compare=False)
@@ -146,7 +147,8 @@ class StepPayoff:
         _check_envelope(cuts, levels)
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "_starts", np.array(cuts[:-1]))
+        object.__setattr__(self, "_cuts", np.array(cuts))
+        object.__setattr__(self, "_starts", self._cuts[:-1])
         object.__setattr__(self, "_levels", np.array(levels))
         # Envelope vertices: the (cut, level) points, the last cut 1 carrying
         # the top level as the flat extension.
@@ -169,7 +171,7 @@ class StepPayoff:
     def envelope(self, p):
         """Upper concave envelope of u: the polyline through the (cut, level) points."""
         x, _ = _locate(p)
-        out = np.interp(x, self.cuts, self._env_y)
+        out = np.interp(x, self._cuts, self._env_y)
         return float(out) if isinstance(x, float) else out
 
 

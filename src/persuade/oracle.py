@@ -16,8 +16,8 @@ Fixed policies are valued exactly by solving the linear system of their
 one-period transition instead of iterating, so policy values carry no
 iteration error on top of the discretization.  Drift moves every silent
 belief toward p*, so in dependency order that system is block triangular
-with few and small cyclic blocks; it is solved block by block, by
-elimination, with numpy alone.
+with few and small cyclic blocks; it is solved block by block, each
+cyclic block by one dense solve, with numpy alone.
 """
 
 from __future__ import annotations
@@ -215,20 +215,17 @@ def _row_lists(values: np.ndarray, mask: np.ndarray) -> list[list]:
     return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def _blocks(reads: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+def _blocks(reads: list[list[int]]) -> list[list[int]]:
     """Strongly connected blocks of the graph "node i reads node k" (Tarjan 1972).
 
-    Iterative depth-first search.  Blocks come out in dependency order: each
-    reads, outside itself, only nodes of earlier blocks.  A block lists its
-    nodes in post-order, each after the nodes of the block it reads, except
-    its closers: the nodes read while still on the search path.  A block of
-    two or more nodes holds a cycle, so it has at least one closer.
+    Iterative depth-first search, in O(n) time and memory for n nodes of
+    O(1) reads each.  Blocks come out in dependency order: each reads,
+    outside itself, only nodes of earlier blocks.  A block of two or more
+    nodes holds a cycle.
     """
     n = len(reads)
     index = [-1] * n         # discovery number; n once the node's block is out
     low = [0] * n
-    on_path = [False] * n
-    closes = [False] * n
     finished, blocks = [], []
     count = 0
     for root in range(n):
@@ -236,7 +233,6 @@ def _blocks(reads: list[list[int]]) -> list[tuple[list[int], list[int]]]:
             continue
         index[root] = low[root] = count
         count += 1
-        on_path[root] = True
         path = [(root, iter(reads[root]))]
         while path:
             node, pending = path[-1]
@@ -244,16 +240,12 @@ def _blocks(reads: list[list[int]]) -> list[tuple[list[int], list[int]]]:
                 if index[k] < 0:
                     index[k] = low[k] = count
                     count += 1
-                    on_path[k] = True
                     path.append((k, iter(reads[k])))
                     break
                 if index[k] < low[node]:
                     low[node] = index[k]
-                if on_path[k]:
-                    closes[k] = True
             else:
                 path.pop()
-                on_path[node] = False
                 found = index[node]
                 if path and low[node] < low[path[-1][0]]:
                     low[path[-1][0]] = low[node]
@@ -261,10 +253,6 @@ def _blocks(reads: list[list[int]]) -> list[tuple[list[int], list[int]]]:
                     finished.append(node)
                     continue
                 # The block is this node and every node finished since it was found.
-                index[node] = n
-                if not finished or index[finished[-1]] < found:
-                    blocks.append(([node], []))
-                    continue
                 start = len(finished)
                 while start and index[finished[start - 1]] > found:
                     start -= 1
@@ -272,49 +260,29 @@ def _blocks(reads: list[list[int]]) -> list[tuple[list[int], list[int]]]:
                 del finished[start:]
                 for k in block:
                     index[k] = n
-                blocks.append((block, [k for k in block if closes[k]]))
+                blocks.append(block)
     return blocks
 
 
-def _solve_block(block: list[int], closers: list[int], col: list[float],
+def _solve_block(block: list[int], col: list[float],
                  reads: list[list[int]], coefs: list[list[float]]) -> None:
     """Values of one cyclic block, written into col over its right-hand sides.
 
-    The k closers' values z are held unknown.  A sweep over the block in
-    post-order gives each value as g + A z; the closers' own rows give the
-    dense k x k system (I - C) z = d, and a last sweep with z known gives
-    the values.  The sweeps run one column of [g | A] at a time.
+    One dense solve of (I - W) z = rhs + the reads of earlier blocks, where
+    W holds the block's reads of its own nodes.
     """
-    size = len(block)
-    # Sweep positions: a node's own value at its place in the block, a
-    # read of closer s at size + s, which holds that closer's value as known.
     place = {node: p for p, node in enumerate(block)}
-    source = place | {node: size + s for s, node in enumerate(closers)}
-    start, steps = [], []
+    system = np.eye(len(block))
+    rhs = []
     for p, i in enumerate(block):
-        total, ks, cs = col[i], [], []
+        total = col[i]
         for k, c in zip(reads[i], coefs[i]):
-            if k in source:
-                ks.append(source[k])
-                cs.append(c)
+            if k in place:
+                system[p, place[k]] -= c
             else:
                 total += c * col[k]     # an earlier block's final value
-        start.append(total)
-        steps.append((p, ks, cs))
-
-    def sweep(values: list[float]) -> list[float]:
-        value = values.__getitem__
-        for p, ks, cs in steps:
-            values[p] += sum(map(mul, cs, map(value, ks)))
-        return values
-
-    at = [place[node] for node in closers]
-    known = np.eye(len(closers)).tolist()
-    columns = (sweep([0.0] * size + unit) for unit in known)
-    a = np.array([[column[p] for p in at] for column in columns]).T
-    g = sweep(start + [0.0] * len(closers))
-    z = np.linalg.solve(np.eye(len(closers)) - a, [g[p] for p in at])
-    for i, value in zip(block, sweep(start + z.tolist())):
+        rhs.append(total)
+    for i, value in zip(block, np.linalg.solve(system, rhs).tolist()):
         col[i] = value
 
 
@@ -325,15 +293,16 @@ def _solve_in_drift_order(cols: np.ndarray, weights: np.ndarray, rhs: np.ndarray
     through a nonzero weight at column k != i; its weight on itself goes to
     its diagonal.  The rows are solved block by block in the dependency
     order of _blocks, the block triangular form of Duff and Reid (1978): a
-    block of one node by substitution, a cyclic block by _solve_block.
+    block of one node by substitution, a cyclic block by one dense solve.
     Drift moves every belief toward p*, so the graph is nearly acyclic:
     every cycle passes through a node next to p* or a node that a split
-    reads.  A block with k closers (k < its size) costs a dense k x k solve
-    and k + 2 sweeps of the block, so the time is O(n + sum of k |block|)
-    and the memory O(n + k^2) for the largest k.  Splits to a region's own
-    ends at grid points, as the solver's and the myopic policy make on a
-    grid that holds the cutoffs, leave one cyclic block with one closer at
-    most.
+    reads.  A cyclic block of b nodes costs O(b^3) time and O(b^2) memory,
+    so the time is O(n + sum of b^3) over the cyclic blocks and the memory
+    O(n + b^2) for the largest.  Splits to a region's own ends at grid
+    points, as the solver's and the myopic policy make on a grid that holds
+    the cutoffs, leave one cyclic block of two nodes at most; split targets
+    far past their regions and off the grid can tie a thousand nodes into
+    one block.
     """
     n = rhs.size
     own = cols == np.arange(n)[:, None]
@@ -343,9 +312,9 @@ def _solve_in_drift_order(cols: np.ndarray, weights: np.ndarray, rhs: np.ndarray
     reads = _row_lists(cols, linked)
     coefs = _row_lists(weights / diag[:, None], linked)
     value = col.__getitem__
-    for block, closers in _blocks(reads):
-        if closers:
-            _solve_block(block, closers, col, reads, coefs)
+    for block in _blocks(reads):
+        if len(block) > 1:
+            _solve_block(block, col, reads, coefs)
         else:
             i = block[0]
             col[i] += sum(map(mul, coefs[i], map(value, reads[i])))

@@ -461,10 +461,12 @@ def verify_solution(problem: Problem, solution: Solution,
                     n_points: int = 10_000) -> VerificationReport:
     """Check the optimality conditions; violations are reported, never raised.
 
-    A negative or non-integer n_points raises OutOfRange before any check.
+    Nothing is sampled: every condition is exact.  n_points no longer
+    changes the result; it is still validated (a negative or non-integer one
+    raises OutOfRange before any check) until ROADMAP item 16 removes it.
 
-    Every condition but one is exact, read at the segment ends from the
-    value's end table (v and v' at each end of each segment):
+    Read at the segment ends from the value's end table (v and v' at each
+    end of each segment):
 
     * shape rules (continuity, concavity, monotonicity), as in
       PiecewiseValue.check_shape;
@@ -478,10 +480,13 @@ def verify_solution(problem: Problem, solution: Solution,
     * smooth pasting at every cutoff, and the corner condition at every cut
       a pasted line ends on: no jump in v' where one segment meets the next.
 
-    The one sampled quantity is the right balance residual
-    v'(p)(p - p*) + mu (v(p) - u(p)) >= 0, with the right derivative, on a
-    grid of n_points even beliefs, every cut and every segment end; v and v'
-    there come from one pass.  p* is exempt from the balance and binding
+    The right balance R(p) = v'(p)(p - p*) + mu (v(p) - u(p)) >= 0, with the
+    right derivative, holds on all of [0, 1].  Between consecutive cuts and
+    segment starts, u is one level and v one segment, so R is affine on a
+    line, and on an arc with center c and exponent e != mu it has one
+    stationary point, p = c + (e + 1)(c - p*)/(mu - e).  R is read at every
+    cut, every segment start and each such point inside its arc;
+    checked_points counts them.  p* is exempt from the balance and binding
     checks (a kink is allowed there in the pinned regime).
     """
     if _integer("n_points", n_points) < 0:
@@ -498,16 +503,24 @@ def verify_solution(problem: Problem, solution: Solution,
     if floor_gap < -_VERIFY_TOL:
         violations.append(Violation("value_floor", p_star, -floor_gap))
 
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_points), np.array(cuts), value._los]))
-    v, slope = value._evaluate(grid, "right")
-    right = slope * (grid - p_star) + mu * (v - payoff.value(grid))
+    turns = []      # R's stationary point on each arc that has one
+    for seg in value.segments:
+        if seg.kind == "slide_arc" and seg.exponent != mu:
+            e, c = seg.exponent, seg.center
+            p = c + (e + 1.0) * (c - p_star) / (mu - e)
+            if seg.lo < p < seg.hi:
+                turns.append(p)
+    points = np.unique(np.concatenate([np.array(cuts), value._los, turns]))
+    v, slope = value._evaluate(points, "right")
+    right = slope * (points - p_star) + mu * (v - payoff.value(points))
     _, ends, _, d_lo, v_end, d_end = value._ends.T
-    # Off the segment ends the slope is the same from both sides and
-    # u(p-) <= u(p), so the left residual is never below the right one there.
+    # The piece ends' left limits: off the segment ends the slope is the same
+    # from both sides and u(p-) <= u(p), so the left residual is never below
+    # the right one there.
     left = d_end * (ends - p_star) + mu * (v_end - payoff.left_value(ends))
 
     worst_deficit = 0.0
-    for side, pts, res in (("right", grid, right), ("left", ends, left)):
+    for side, pts, res in (("right", points, right), ("left", ends, left)):
         keep = np.abs(pts - p_star) > PIN_TOLERANCE
         pts, res = pts[keep], res[keep]
         worst_deficit = max(worst_deficit, -float(res.min(initial=0.0)))
@@ -515,7 +528,7 @@ def verify_solution(problem: Problem, solution: Solution,
             violations.append(Violation(f"balance_{side}", float(pts[i]), float(-res[i])))
 
     def read(values, p):
-        return float(values[np.searchsorted(grid, p)])
+        return float(values[np.searchsorted(points, p)])
 
     left_at = dict(zip(ends.tolist(), left.tolist()))
     jump_at = dict(zip(ends.tolist(), np.abs(d_end[:-1] - d_lo[1:]).tolist()))
@@ -536,7 +549,7 @@ def verify_solution(problem: Problem, solution: Solution,
 
     return VerificationReport(
         violations=tuple(violations),
-        checked_points=int(grid.size),
+        checked_points=int(points.size),
         max_residual_deficit=worst_deficit,
         max_binding_gap=max([0.0] + [entry[2] for entry in binding]),
         max_pasting_gap=max([0.0] + [entry[2] for entry in pasting]),

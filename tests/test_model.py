@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,22 @@ def test_envelope_dominates_and_touches_at_cuts():
     for c in CANON_RAW["cuts"][:-1]:
         assert pay.envelope(c) == pytest.approx(pay.value(c), abs=1e-12)
     assert pay.envelope(1.0) == pay.value(1.0)
+
+
+def test_scalar_envelope_copies_no_cuts():
+    # 10,001 cuts take 80 KB as an array.  One scalar call traced a peak of
+    # 2.2 KB with the cuts stored as an array, and 81 KB when each call
+    # converted the cuts tuple.
+    cuts = np.linspace(0.0, 1.0, 10_001)
+    pay = StepPayoff(tuple(cuts.tolist()), tuple((1.0 - (1.0 - cuts[:-1]) ** 2).tolist()))
+    pay.envelope(0.5)
+    tracemalloc.start()
+    try:
+        pay.envelope(0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000
 
 
 def test_envelope_is_concave():

@@ -22,7 +22,7 @@ from persuade.oracle import (
     slide_only_policy,
     value_iteration,
 )
-from persuade.solver import MarkovPolicy, solve
+from persuade.solver import MarkovPolicy, PolicyRegion, solve
 
 from conftest import CANON_RAW, dp_split_mask
 
@@ -419,35 +419,35 @@ def _many_step_problem(steps: int):
 
 @pytest.fixture
 def cyclic_blocks(monkeypatch):
-    """Per policy solve, the closer count of each cyclic block, in call order."""
-    counts = []
+    """Per policy solve, the size of each cyclic block, in call order."""
+    sizes = []
     blocks = oracle._blocks
 
     def recording(reads):
         found = blocks(reads)
-        counts.append([len(closers) for _, closers in found if closers])
+        sizes.append([len(block) for block in found if len(block) > 1])
         return found
 
     monkeypatch.setattr(oracle, "_blocks", recording)
-    return counts
+    return sizes
 
 
-# (instance, policy, grid gap, closers per cyclic block).  The canon grid is
-# the benchmark's, 4006 points.  Full disclosure closes a cycle through
-# beliefs 0 and 1, sliding one across p*.
+# (instance, policy, grid gap).  The canon grid is the benchmark's, 4006
+# points.  Full disclosure closes a cycle through beliefs 0 and 1, sliding
+# one across p*.
 FINE_GRID_CASES = [
-    ("canon", "sigma_star", 2.5e-4, [1]),
-    ("canon", "myopic", 2.5e-4, [1]),
-    ("canon", "full_disclosure", 2.5e-4, [1]),
-    ("canon", "slide_only", 2.5e-4, [1]),
-    ("200 steps", "sigma_star", 1e-4, [1]),
+    ("canon", "sigma_star", 2.5e-4),
+    ("canon", "myopic", 2.5e-4),
+    ("canon", "full_disclosure", 2.5e-4),
+    ("canon", "slide_only", 2.5e-4),
+    ("200 steps", "sigma_star", 1e-4),
 ]
 
 
-@pytest.mark.parametrize("instance, name, gap, closers", FINE_GRID_CASES,
+@pytest.mark.parametrize("instance, name, gap", FINE_GRID_CASES,
                          ids=[f"{case[0]}-{case[1]}" for case in FINE_GRID_CASES])
 def test_elimination_matches_per_node_reference_on_fine_grids(
-        canon_problem, cyclic_blocks, instance, name, gap, closers):
+        canon_problem, cyclic_blocks, instance, name, gap):
     problem = canon_problem if instance == "canon" else _many_step_problem(200)
     solution = solve(problem)
     policy = {"sigma_star": solution.policy, "myopic": myopic_policy(problem),
@@ -456,14 +456,14 @@ def test_elimination_matches_per_node_reference_on_fine_grids(
     grid = make_grid(problem, gap, extra=solution.cutoffs)
     got = evaluate_policy_discrete(problem, policy, 1e-3, grid).values
     want = _per_node_policy_values(problem, policy, 1e-3, grid)
-    assert cyclic_blocks == [closers]
+    assert cyclic_blocks == [[2]]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_elimination_solves_random_systems(seed):
     # Reads of nearby nodes plus a few long jumps make self-reads and many
-    # cyclic blocks, up to a dozen closers each; the elimination must agree
+    # cyclic blocks, up to a few dozen nodes each; the elimination must agree
     # with a dense solve of (I - W) w = rhs.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 80))
@@ -490,19 +490,39 @@ def test_end_split_policies_have_one_cycle_at_most(cyclic_blocks, canon_solution
         for policy in (solution.policy, myopic_policy(problem)):
             evaluate_policy_discrete(problem, policy, 1e-3, grid)
     assert len(cyclic_blocks) == 2 * len(problems)
-    assert all(found in ([], [1]) for found in cyclic_blocks), cyclic_blocks
+    assert all(found in ([], [2]) for found in cyclic_blocks), cyclic_blocks
 
 
 def test_cycles_off_the_grid_are_solved_block_by_block(cyclic_blocks):
     # Without the cutoffs on the grid, each of the solver's split regions
-    # above p* reads its low end by interpolation and closes its own cycle.
+    # above p* reads its low end by interpolation and closes its own cycle
+    # of two nodes.
     problem = _many_step_problem(1000)
     solution = solve(problem)
     grid = make_grid(problem, 2e-4)
     got = evaluate_policy_discrete(problem, solution.policy, 1e-3, grid).values
     (found,) = cyclic_blocks
-    assert len(found) > 10 and max(found) == 1
+    assert len(found) > 10 and max(found) == 2
     want = _per_node_policy_values(problem, solution.policy, 1e-3, grid)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_far_split_targets_make_one_large_block(cyclic_blocks):
+    # Each of 1,000 split regions sends its low and high posteriors up to
+    # 0.005 past its ends, off the grid: the reads tie over a thousand
+    # nodes into one cyclic block, which one dense solve handles.
+    rng = np.random.default_rng(0)
+    problem = _many_step_problem(100)
+    ends = np.linspace(0.0, 1.0, 1001).tolist()
+    policy = MarkovPolicy([
+        PolicyRegion(lo, hi, "split", max(0.0, lo - 0.005 * rng.random()),
+                     min(1.0, hi + 0.005 * rng.random()))
+        for lo, hi in zip(ends[:-1], ends[1:])])
+    grid = make_grid(problem, 1e-4)
+    got = evaluate_policy_discrete(problem, policy, 1e-3, grid).values
+    (found,) = cyclic_blocks
+    assert max(found) > 1000
+    want = _per_node_policy_values(problem, policy, 1e-3, grid)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 

@@ -483,7 +483,7 @@ def test_verify_canon_clean(canon_problem, canon_solution):
     rep = verify_solution(canon_problem, canon_solution)
     assert rep.ok
     assert rep.violations == ()
-    assert rep.checked_points >= 10_000
+    assert rep.checked_points == 7       # the six cuts and the cutoff
     assert rep.max_binding_gap <= 1e-8
     assert rep.max_pasting_gap <= 1e-8
     assert rep.max_residual_deficit <= 1e-8
@@ -499,10 +499,76 @@ def test_verify_rejects_bad_point_count(canon_problem, canon_solution, n_points,
 
 
 def test_verify_without_even_points(canon_problem, canon_solution):
-    # The grid is then the cuts and the segment ends.
+    # n_points is still validated, but the report no longer depends on it.
     rep = verify_solution(canon_problem, canon_solution, n_points=0)
+    assert rep == verify_solution(canon_problem, canon_solution)
     assert rep.ok
     assert rep.checked_points == 7
+
+
+def sampled_deficit(problem, value, n_points):
+    """Largest -R, R(p) = v'(p)(p - p*) + mu (v(p) - u(p)), over n_points even
+    beliefs, the cuts and the segment starts; p* exempt."""
+    p_star = problem.stationary_belief
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_points),
+                                     problem.payoff.cuts, [s.lo for s in value.segments]]))
+    grid = grid[np.abs(grid - p_star) > 1e-12]
+    residual = (value.derivative(grid) * (grid - p_star)
+                + problem.discount_ratio * (value.value(grid) - problem.payoff.value(grid)))
+    return max(0.0, -float(residual.min()))
+
+
+def off_center_top_arc(solution, turn, exponent, depth):
+    """The solution with its top arc swapped for one of exponent e < mu centered above p*.
+
+    The center puts the one stationary point of the right balance residual R,
+    a minimum, at `turn`, and the level makes R(turn) = -depth.  The arc
+    keeps the old one's start, so the value stays continuous.
+    """
+    problem = solution.problem
+    p_star, mu, e = problem.stationary_belief, problem.discount_ratio, exponent
+    top = solution.value.segments[-1]
+    m = (e + 1.0) / (mu - e)
+    center = (turn + m * p_star) / (1.0 + m)        # turn = center + m (center - p*)
+    t = turn - center
+    g = ((top.lo - center) / t) ** e * (mu - e - e * (center - p_star) / t)
+    # R(turn) = mu (level - h) + (start - level) g is affine in the level.
+    h = problem.payoff.levels[-1]
+    level = (mu * h - top.start * g - depth) / (mu - g)
+    arc = ValueSegment.slide_arc(top.lo, 1.0, level, top.start, center, e)
+    return dataclasses.replace(solution,
+                               value=PiecewiseValue(solution.value.segments[:-1] + (arc,)))
+
+
+def test_verify_finds_balance_dip_between_even_points():
+    # At mu = 50 the dip of R is about 1e-5 wide.  Placed midway between two
+    # of 10,000 even beliefs, it is below -1e-8 only between them.
+    problem = parse_problem(canon_variant(0.5, mu=50.0))
+    even = np.linspace(0.0, 1.0, 10_000)
+    turn = 0.5 * (even[8049] + even[8050])
+    bent = off_center_top_arc(solve(problem), turn, 0.5, 2e-8)
+    assert sampled_deficit(problem, bent.value, 10_000) < 1e-8
+    rep = verify_solution(problem, bent)
+    (dip,) = [v for v in rep.violations if v.condition == "balance_right"]
+    assert dip.belief == pytest.approx(turn, rel=0.0, abs=1e-15)
+    assert dip.magnitude == pytest.approx(2e-8, rel=1e-6)
+    assert rep.max_residual_deficit == dip.magnitude
+
+
+def test_residual_deficit_matches_dense_minimum(canon_problem, canon_solution):
+    # The exact deficit is at least the one sampled over 200,001 even
+    # beliefs, up to rounding, and within that grid's resolution of it.  It
+    # sits at the cuts for the canon value checked against other discount
+    # rates, and at the stationary point of each off-center arc.
+    rng = np.random.default_rng(5)
+    cases = [(parse_problem(dict(CANON_RAW, r=r)), canon_solution) for r in (1.0, 1.3, 0.7)]
+    cases += [(canon_problem, off_center_top_arc(canon_solution, rng.uniform(0.82, 0.98),
+                                                 rng.uniform(0.05, 0.45), 10 ** rng.uniform(-6, -3)))
+              for _ in range(20)]
+    for problem, solution in cases:
+        exact = verify_solution(problem, solution).max_residual_deficit
+        dense = sampled_deficit(problem, solution.value, 200_001)
+        assert dense - 1e-15 <= exact <= dense + 1e-10
 
 
 def test_verify_flags_perturbed_value(canon_problem, canon_solution):
@@ -644,7 +710,7 @@ def test_verify_flags_convex_segment(canon_problem, canon_solution):
     assert shape == [("concavity", 0.8, pytest.approx(2.0 / 9.0 - 2.0 / 15.0))]
 
 
-# Flat payoff 0.6 with p* = 0.5 and mu = 0.5; five grid points 0, 0.25, ..., 1.
+# Flat payoff 0.6 with p* = 0.5 and mu = 0.5.
 @pytest.mark.parametrize("points, expected", [
     ([(0.0, 0.7), (0.25, 0.7), (0.75, 0.705), (1.0, 0.7125)],
      [("binding", 0.0), ("binding", 1.0), ("concavity", 0.25), ("concavity", 0.75)]),
@@ -653,7 +719,7 @@ def test_verify_flags_convex_segment(canon_problem, canon_solution):
 ], ids=["concavity", "monotonicity"])
 def test_verify_flags_shape(flat_problem, points, expected):
     broken = dataclasses.replace(solve(flat_problem), value=polyline(points))
-    rep = verify_solution(flat_problem, broken, n_points=5)
+    rep = verify_solution(flat_problem, broken)
     assert [(v.condition, v.belief) for v in rep.violations] == expected
     assert rep.max_residual_deficit == 0.0
 
