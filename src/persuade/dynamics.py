@@ -21,14 +21,12 @@ solver's slide arc, and it is never shorter in discounted terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import OutOfRange
 from .model import MarkovRates, Problem
 
 __all__ = [
     "drift_map",
-    "SplitSignal",
     "make_split_signal",
     "discounted_time_split",
 ]
@@ -73,21 +71,11 @@ def _discount_factor(problem: Problem, delta: float) -> float:
     return x
 
 
-@dataclass(frozen=True, slots=True)
-class SplitSignal:
-    """Binary Bayes-plausible split of prior into {low_target, high_target}."""
+def make_split_signal(q: float, a: float, b: float) -> tuple[float, float]:
+    """Signal splitting prior q into posteriors a (low) and b (high): (beta0, beta1).
 
-    low_target: float
-    high_target: float
-    prob_high: float
-    beta1: float  # P(high message | state 1)
-    beta0: float  # P(high message | state 0)
-
-
-def make_split_signal(q: float, a: float, b: float) -> SplitSignal:
-    """Signal splitting prior q into posteriors a (low) and b (high).
-
-    beta1 = b(q-a) / (q(b-a)) and beta0 = (1-b)(q-a) / ((1-q)(b-a)); by
+    beta_s is the probability of the high message in state s:
+    beta1 = b(q-a) / (q(b-a)) and beta0 = (1-b)(q-a) / ((1-q)(b-a)).  By
     construction the high-message posterior is exactly b, the low-message
     posterior exactly a, and the total high probability is (q-a)/(b-a).
     """
@@ -103,13 +91,11 @@ def make_split_signal(q: float, a: float, b: float) -> SplitSignal:
     prob_high = (q - a) / width
     beta1 = b * (q - a) / (q * width)
     beta0 = (1.0 - b) * (q - a) / ((1.0 - q) * width)
-    sig = SplitSignal(low_target=a, high_target=b,
-                      prob_high=prob_high, beta1=beta1, beta0=beta0)
     # Bayes consistency; violations here would mean a coding error, not bad input.
     assert -_BAYES_TOL <= prob_high <= 1.0 + _BAYES_TOL
     assert abs(q * beta1 + (1.0 - q) * beta0 - prob_high) <= _BAYES_TOL
     assert abs(prob_high * b + (1.0 - prob_high) * a - q) <= _BAYES_TOL
-    return sig
+    return beta0, beta1
 
 
 def discounted_time_split(problem: Problem, p_from: float, p_to: float) -> float:

@@ -4,8 +4,8 @@ Every error raised by the library derives from :class:`PersuadeError`.  Each
 class below it stands for one CLI exit code, and the CLI maps a failure to its
 stderr prefix and code by class alone, from the table `persuade.cli._EXITS`.
 ProblemValidationError lists its problems, one stderr line each.  A raise
-site says what went wrong in its message, not by a subclass.  NoConvergence
-is the only subclass: an OracleError that also carries the best iterate.
+site says what went wrong in its message rather than by a subclass, and none
+of these classes has one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "OutOfRange",
     "SolverError",
     "OracleError",
-    "NoConvergence",
     "SimulationError",
 ]
 
@@ -42,15 +41,7 @@ class SolverError(PersuadeError):
 
 
 class OracleError(PersuadeError):
-    """The dynamic-programming oracle cannot run on the requested grid."""
-
-
-class NoConvergence(OracleError):
-    """Value iteration hit its step limit; .result carries the best iterate."""
-
-    def __init__(self, message: str, result=None):
-        super().__init__(message)
-        self.result = result
+    """The dynamic-programming oracle cannot run on the requested grid or does not converge."""
 
 
 class SimulationError(PersuadeError):

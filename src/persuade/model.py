@@ -140,8 +140,12 @@ class StepPayoff:
     _env_y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        cuts = tuple(float(c) for c in self.cuts)
-        levels = tuple(float(h) for h in self.levels)
+        # Check the types before converting: float() would take "0.5" or raise bare errors.
+        cuts, levels = tuple(self.cuts), tuple(self.levels)
+        for name, values in (("cuts", cuts), ("levels", levels)):
+            if not all(map(_is_number, values)):
+                raise ProblemValidationError([f"{name} must all be finite numbers"])
+        cuts, levels = tuple(map(float, cuts)), tuple(map(float, levels))
         _check_support(cuts, levels)
         _check_levels(levels)
         _check_envelope(cuts, levels)
@@ -187,8 +191,6 @@ def _check_support(cuts: tuple[float, ...], levels: tuple[float, ...]) -> None:
         for a, b in zip(cuts, cuts[1:]):
             if b - a <= _DUPLICATE_TOL:
                 problems.append(f"cuts {a} and {b} are not increasing (or closer than {_DUPLICATE_TOL})")
-    if not all(_is_number(c) for c in cuts):
-        problems.append("cuts must all be finite numbers")
     if len(levels) != len(cuts) - 1:
         problems.append(f"expected {len(cuts) - 1} levels for {len(cuts)} cuts, got {len(levels)}")
     if problems:
@@ -196,8 +198,6 @@ def _check_support(cuts: tuple[float, ...], levels: tuple[float, ...]) -> None:
 
 
 def _check_levels(levels: tuple[float, ...]) -> None:
-    if not all(_is_number(h) for h in levels):
-        raise ProblemValidationError(["levels must all be finite numbers"])
     for i, (a, b) in enumerate(zip(levels, levels[1:])):
         if b <= a:
             raise ProblemValidationError([f"levels must strictly increase: levels[{i}]={a} >= levels[{i + 1}]={b}"])

@@ -28,7 +28,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import NoConvergence, OracleError, OutOfRange
+from .errors import OracleError, OutOfRange
 from .model import Problem, _locate
 from .dynamics import _discount_factor, drift_map
 from .solver import MarkovPolicy, PolicyRegion
@@ -52,7 +52,7 @@ _LEFT_SAMPLE_OFFSET = 1e-12
 _HULL_BEND_TOL = 1e-13
 _POLICY_RESIDUAL_TOL = 1e-8
 DEFAULT_TOL = 1e-6
-#: Value-iteration steps before NoConvergence is raised.
+#: Value-iteration steps before value_iteration gives up.
 _MAX_ITER = 200_000
 
 
@@ -165,8 +165,8 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
     tol * (1 - x), so the bracket is at most tol * x wide, and returns its
     lower end: within tol * x of the true discrete value and never above it.
     `bound` is the final bracket width; `residual` and `change_history` hold
-    the sup-norm change of the plain iterates.  NoConvergence, carrying the
-    last iterate, is raised after _MAX_ITER steps.
+    the sup-norm change of the plain iterates.  OracleError is raised after
+    _MAX_ITER steps.
     """
     a, b = drift_map(problem.rates, delta)
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -188,11 +188,9 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
             scale = x / (1.0 - x)
             return OracleResult(grid, w + scale * low, delta, iteration, history[-1],
                                 np.array(history), scale * (high - low))
-    partial = OracleResult(grid, w, delta, _MAX_ITER, history[-1], np.array(history))
-    raise NoConvergence(
+    raise OracleError(
         f"value iteration did not reach a change spread of {threshold:.3e} in "
-        f"{_MAX_ITER} steps (last spread {high - low:.3e}, last change {history[-1]:.3e})",
-        result=partial,
+        f"{_MAX_ITER} steps (last spread {high - low:.3e}, last change {history[-1]:.3e})"
     )
 
 
@@ -353,13 +351,10 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
     rhs = (1.0 - x) * c
     w = _solve_in_drift_order(cols, x * vals, rhs)
     residual = float(np.max(np.abs(w - (rhs + x * np.sum(vals * w[cols], axis=1)))))
-    result = OracleResult(grid, w, delta, 1, residual)
     if residual > _POLICY_RESIDUAL_TOL:
-        raise NoConvergence(
-            f"policy linear system residual {residual:.3e} exceeds "
-            f"{_POLICY_RESIDUAL_TOL}", result=result,
-        )
-    return result
+        raise OracleError(
+            f"policy linear system residual {residual:.3e} exceeds {_POLICY_RESIDUAL_TOL}")
+    return OracleResult(grid, w, delta, 1, residual)
 
 
 def myopic_policy(problem: Problem) -> MarkovPolicy:

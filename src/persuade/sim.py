@@ -67,8 +67,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OutOfRange, SimulationError
-from .model import Problem, _integer
-from .dynamics import SplitSignal, _discount_factor, drift_map, make_split_signal
+from .model import Problem, _integer, _is_number
+from .dynamics import _discount_factor, drift_map, make_split_signal
 from .solver import MarkovPolicy, Solution
 
 __all__ = [
@@ -141,13 +141,15 @@ class SimConfig:
     initial_belief: float
 
     def __post_init__(self) -> None:
-        if not self.delta > 0.0:
+        # Numbers only: a bool compares like 0 or 1, a string raises a bare TypeError.
+        # An infinite period, which makes a one-period game, stays accepted.
+        if not (_is_number(self.delta) or self.delta == math.inf) or not self.delta > 0.0:
             raise OutOfRange(f"period length must be positive, got {self.delta!r}")
         if not 1 <= _integer("horizon", self.horizon) <= MAX_HORIZON:
             raise OutOfRange(f"horizon must be 1 to {MAX_HORIZON} periods, got {self.horizon!r}")
         if not 1 <= _integer("n_paths", self.n_paths) <= MAX_PATHS:
             raise OutOfRange(f"need 1 to {MAX_PATHS} paths, got {self.n_paths!r}")
-        if not (0.0 <= self.initial_belief <= 1.0):
+        if not (_is_number(self.initial_belief) and 0.0 <= self.initial_belief <= 1.0):
             raise OutOfRange(f"initial belief outside [0, 1]: {self.initial_belief!r}")
         if not _integer("seed", self.seed) >= 0:
             raise OutOfRange(f"seed must be non-negative, got {self.seed!r}")
@@ -247,7 +249,7 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
     """
     drift0, drift_slope = drift_map(problem.rates, config.delta)
     chains: dict[float, list[float]] = {}
-    signals: dict[float, SplitSignal] = {}
+    splits = {}  # atom -> (low, high) targets, (beta0, beta1) of its split
     pending = [float(config.initial_belief)]
     while pending:
         atom = pending.pop()
@@ -261,9 +263,9 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
         if hits.size:
             stop = int(hits[0]) + 1
             del chain[stop + 1:]
-            signal = make_split_signal(chain[stop], float(low[stop]), float(high[stop]))
-            signals[atom] = signal
-            pending += [signal.low_target, signal.high_target]
+            targets = float(low[stop]), float(high[stop])
+            splits[atom] = targets, make_split_signal(chain[stop], *targets)
+            pending += targets
         chains[atom] = chain
 
     offsets, size = {}, 0
@@ -276,11 +278,11 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
     split = np.zeros(size, dtype=bool)
     beta = np.zeros((size, 2))
     next_code = np.repeat(codes[:, None] + 1, 2, axis=1)
-    for atom, signal in signals.items():
+    for atom, (targets, betas) in splits.items():
         code = offsets[atom] + len(chains[atom]) - 2
         split[code] = True
-        beta[code] = signal.beta0, signal.beta1
-        next_code[code] = offsets[signal.low_target], offsets[signal.high_target]
+        beta[code] = betas
+        next_code[code] = [offsets[target] for target in targets]
     returns = next_code == codes[:, None]  # per (code, high): the message returns the path
     hold = np.any(returns, axis=1)[:, None]
     leave_high = returns[:, :1]

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfRange, ProblemValidationError, SolverError
-from .model import PIN_TOLERANCE, Problem, _integer, _is_number, _locate, parse_problem, problem_to_dict
+from .model import PIN_TOLERANCE, Problem, _integer, _is_number, _locate, problem_to_dict
 from .dynamics import discounted_time_split
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "verify_solution",
     "VerificationReport",
     "Violation",
-    "solution_from_dict",
 ]
 
 _CONTINUITY_TOL = 1e-10
@@ -112,13 +111,6 @@ class ValueSegment:
                     "intercept": self.intercept, "slope": self.slope}
         return {"lo": self.lo, "hi": self.hi, "kind": "slide_arc", "level": self.level,
                 "start": self.start, "center": self.center, "exponent": self.exponent}
-
-    @staticmethod
-    def from_dict(d: dict) -> "ValueSegment":
-        if d["kind"] == "linear":
-            return ValueSegment.linear(d["lo"], d["hi"], d["intercept"], d["slope"])
-        return ValueSegment.slide_arc(d["lo"], d["hi"], d["level"], d["start"],
-                                      d["center"], d["exponent"])
 
 
 class PiecewiseValue:
@@ -317,12 +309,6 @@ class Solution:
             "segments": [s.to_dict() for s in self.value.segments],
             "regions": [r.to_dict() for r in self.policy.regions],
         }
-
-
-def solution_from_dict(d: dict) -> Solution:
-    """Solution from its JSON form; reads only `problem` and `segments`."""
-    return Solution(parse_problem(d["problem"]),
-                    PiecewiseValue(ValueSegment.from_dict(s) for s in d["segments"]))
 
 
 # --- construction ------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from persuade.model import Problem, parse_problem
 from persuade.oracle import OracleResult, contact_gap
-from persuade.solver import Solution, solve
+from persuade.solver import PiecewiseValue, Solution, ValueSegment, solve
 
 CANON_RAW = {
     "lambda0": 1.0,
@@ -86,6 +86,17 @@ def slide_reach_time(problem: Problem, p_from: float, p_to: float) -> float:
     """
     p_star = problem.stationary_belief
     return 1.0 - ((p_star - p_to) / (p_star - p_from)) ** problem.discount_ratio
+
+
+def solution_from_dict(d: dict) -> Solution:
+    """Solution from its JSON form (Solution.to_dict); reads only `problem` and `segments`."""
+    def segment(s):
+        if s["kind"] == "linear":
+            return ValueSegment.linear(s["lo"], s["hi"], s["intercept"], s["slope"])
+        return ValueSegment.slide_arc(s["lo"], s["hi"], s["level"], s["start"],
+                                      s["center"], s["exponent"])
+
+    return Solution(parse_problem(d["problem"]), PiecewiseValue(map(segment, d["segments"])))
 
 
 def canon_variant(p_star: float, mu: float = 0.5) -> dict:

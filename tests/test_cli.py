@@ -15,10 +15,10 @@ import warnings
 
 import pytest
 
-from persuade import cli
+from persuade import cli, oracle
 from persuade.cli import main
-from persuade.errors import (NoConvergence, OracleError, OutOfRange, PersuadeError,
-                             ProblemValidationError, SimulationError, SolverError)
+from persuade.errors import (OracleError, OutOfRange, PersuadeError, ProblemValidationError,
+                             SimulationError, SolverError)
 
 from conftest import CANON_RAW, FLAT_RAW, MU_OUT_OF_RANGE, SINGLE_DISC_RAW, canon_variant
 
@@ -424,6 +424,18 @@ def test_oracle_names_the_top_interval_closed(tmp_path, capsys):
         "oracle error: payoff interval [0.9, 1.0] has only 2 grid points")
 
 
+def test_oracle_step_limit_exits_5(tmp_path, canon_config, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_ITER", 3)
+    out = tmp_path / "o.csv"
+    code = main(["oracle", "--config", canon_config, "--out", str(out),
+                 "--grid-gap", "0.01", "--delta", "0.05"])
+    assert code == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "oracle error: value iteration did not reach a change spread of 4.877e-08 in 3 steps "
+        "(last spread 3.064e-02, last change 4.413e-02)"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["oracle", "sweep"])
 def test_negative_tolerance_is_rejected(tmp_path, canon_config, capsys, command):
     out = tmp_path / "out.csv"
@@ -505,12 +517,10 @@ def test_short_explicit_horizon_names_needed_horizon_briefly(tmp_path, canon_con
     (PersuadeError("plain"), ["error: plain"], 2),
     (SolverError("no cutoff"), ["solver error: no cutoff"], 4),
     (OracleError("grid too coarse"), ["oracle error: grid too coarse"], 5),
-    (NoConvergence("no fixed point", result=None), ["oracle error: no fixed point"], 5),
     (SimulationError("horizon too short"), ["simulation error: horizon too short"], 6),
     (OSError(2, "No such file or directory"),
      ["file error: [Errno 2] No such file or directory"], 3),
-], ids=["validation", "out-of-range", "persuade", "solver", "oracle", "no-convergence",
-        "simulation", "os"])
+], ids=["validation", "out-of-range", "persuade", "solver", "oracle", "simulation", "os"])
 def test_exit_table(canon_config, capsys, monkeypatch, error, lines, code):
     def fail(args):
         raise error

@@ -87,28 +87,27 @@ def test_split_signal_bayes_identities():
         a = rng.uniform(0.0, 0.98)
         b = rng.uniform(a + 0.01, 1.0)
         q = rng.uniform(max(a, 1e-3), min(b, 1.0 - 1e-3))
-        sig = make_split_signal(q, a, b)
-        assert abs(sig.prob_high * b + (1.0 - sig.prob_high) * a - q) <= 1e-12
-        assert abs(q * sig.beta1 + (1.0 - q) * sig.beta0 - sig.prob_high) <= 1e-12
-        # Bayes posterior after the high message lands exactly on b.
-        num = q * sig.beta1
-        den = q * sig.beta1 + (1.0 - q) * sig.beta0
-        if den > 0:
-            assert abs(num / den - b) <= 1e-9
+        beta0, beta1 = make_split_signal(q, a, b)
+        prob_high = q * beta1 + (1.0 - q) * beta0
+        assert abs(prob_high - (q - a) / (b - a)) <= 1e-12
+        assert abs(prob_high * b + (1.0 - prob_high) * a - q) <= 1e-12
+        # Bayes posteriors after the high and the low message land on b and a.
+        if prob_high > 0:
+            assert abs(q * beta1 / prob_high - b) <= 1e-9
+        if prob_high < 1:
+            assert abs(q * (1.0 - beta1) / (1.0 - prob_high) - a) <= 1e-9
 
 
 def test_split_signal_endpoints():
-    sig = make_split_signal(0.5, 0.5, 0.9)
-    assert sig.prob_high == 0.0
-    sig = make_split_signal(0.9, 0.5, 0.9)
-    assert sig.prob_high == 1.0
+    # A prior on the low target never sends high; one on the high target always does.
+    assert make_split_signal(0.5, 0.5, 0.9) == (0.0, 0.0)
+    assert make_split_signal(0.9, 0.5, 0.9) == (1.0, 1.0)
 
 
 def test_split_full_disclosure_messages_are_truthful():
-    sig = make_split_signal(0.3, 0.0, 1.0)
-    assert sig.beta1 == 1.0     # state 1 always reports high
-    assert sig.beta0 == 0.0     # state 0 never does
-    assert sig.prob_high == pytest.approx(0.3, abs=1e-15)
+    beta0, beta1 = make_split_signal(0.3, 0.0, 1.0)
+    assert beta1 == 1.0     # state 1 always reports high
+    assert beta0 == 0.0     # state 0 never does
 
 
 def test_split_signal_errors():

@@ -74,6 +74,29 @@ def test_support_rejects_short_or_non_finite_input(cuts, levels, message):
         StepPayoff(cuts=cuts, levels=levels)
 
 
+@pytest.mark.parametrize("cuts, levels, message", [
+    (["0", "1"], ["0.5"], "cuts must all be finite numbers"),
+    ([0, "a", 1], [0, 1], "cuts must all be finite numbers"),
+    ([0, None, 1], [0, 1], "cuts must all be finite numbers"),
+    ([0, True, 1], [0, 1], "cuts must all be finite numbers"),
+    ([0, 0.5, 1], [0, "1"], "levels must all be finite numbers"),
+    ([0, 0.5, 1], [None, 1], "levels must all be finite numbers"),
+], ids=["string-cuts", "letter-cut", "none-cut", "bool-cut", "string-level", "none-level"])
+def test_support_rejects_non_numbers(cuts, levels, message):
+    # float() would turn "0.5" into a number and raise a bare ValueError or
+    # TypeError on "a" or None, so the types are checked first.
+    with pytest.raises(ProblemValidationError, match=re.escape(message)):
+        StepPayoff(cuts=cuts, levels=levels)
+
+
+def test_support_accepts_numpy_floats():
+    plain = StepPayoff(cuts=tuple(CANON_RAW["cuts"]), levels=tuple(CANON_RAW["levels"]))
+    pay = StepPayoff(cuts=tuple(np.array(CANON_RAW["cuts"])),
+                     levels=tuple(np.array(CANON_RAW["levels"])))
+    assert pay == plain
+    assert {type(x) for x in pay.cuts + pay.levels} == {float}
+
+
 def test_support_rejects_unsorted_and_duplicate_cuts():
     with pytest.raises(ProblemValidationError, match="cuts 0.6 and 0.4 are not increasing"):
         StepPayoff(cuts=(0.0, 0.6, 0.4, 1.0), levels=(0.0, 0.5, 1.0))

@@ -9,7 +9,7 @@ import pytest
 
 from persuade import oracle
 from persuade.dynamics import drift_map, make_split_signal
-from persuade.errors import NoConvergence, OracleError, OutOfRange
+from persuade.errors import OracleError, OutOfRange
 from persuade.model import parse_problem
 from persuade.oracle import (
     _HULL_BEND_TOL,
@@ -24,7 +24,7 @@ from persuade.oracle import (
 )
 from persuade.solver import MarkovPolicy, PolicyRegion, solve
 
-from conftest import CANON_RAW, dp_split_mask
+from conftest import CANON_RAW, dp_split_mask, random_instance
 
 
 # --- grids --------------------------------------------------------------------
@@ -183,6 +183,28 @@ def test_value_iteration_matches_solver(canon_problem, canon_solution):
     assert sup <= 0.02          # dominated by the O(delta) discretization bias
 
 
+def test_value_iteration_matches_solver_off_canon(canon_problem):
+    """sup|w_delta - v| <= delta times the spread, first order in delta, on 20 instances.
+
+    Canon and 19 `random_instance` draws (seed 11), grid gap 1e-3 with the
+    cutoffs, delta = 0.01 and 0.005.  A probe read the worst
+    sup|w_delta - v| / (spread delta) as 0.683 at both delta, and the error
+    ratio e(delta) / e(delta / 2) within [1.995, 2.003].
+    """
+    rng = np.random.default_rng(11)
+    for problem in [canon_problem] + [random_instance(rng) for _ in range(19)]:
+        solution = solve(problem)
+        grid = make_grid(problem, 1e-3, extra=solution.cutoffs)
+        exact = solution.value.value(grid.points)
+        levels = problem.payoff.levels
+        errors = []
+        for delta in (0.01, 0.005):
+            res = value_iteration(problem, delta, grid, tol=1e-8)
+            errors.append(float(np.max(np.abs(res.values - exact))) / (levels[-1] - levels[0]))
+            assert errors[-1] <= 1.0 * delta, (problem, delta, errors[-1])
+        assert 1.9 <= errors[0] / errors[1] <= 2.1, (problem, errors)
+
+
 def test_value_iteration_contraction_ratio(canon_problem):
     grid = make_grid(canon_problem, 5e-3)
     delta = 0.05
@@ -262,14 +284,11 @@ def test_value_iteration_bound_is_certified(request, name, gap, delta):
     assert np.all(res.values <= ref.values + 1e-12)
 
 
-def test_no_convergence_carries_partial_result(canon_problem, monkeypatch):
+def test_step_limit_raises_oracle_error(canon_problem, monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_ITER", 3)
     grid = make_grid(canon_problem, 1e-2)
-    with pytest.raises(NoConvergence) as exc:
+    with pytest.raises(OracleError, match="did not reach a change spread .* in 3 steps"):
         value_iteration(canon_problem, 0.05, grid, tol=1e-10)
-    assert exc.value.result is not None
-    assert exc.value.result.iterations == 3
-    assert exc.value.result.change_history.size == 3
 
 
 # --- DP action detection ------------------------------------------------------
@@ -309,12 +328,11 @@ def test_policy_evaluation_residual_is_tiny(canon_problem):
     assert res.iterations == 1
 
 
-def test_policy_residual_guard_carries_result(canon_problem, monkeypatch):
+def test_policy_residual_guard_raises_oracle_error(canon_problem, monkeypatch):
     monkeypatch.setattr(oracle, "_POLICY_RESIDUAL_TOL", -1.0)
     grid = make_grid(canon_problem, 5e-3)
-    with pytest.raises(NoConvergence, match="policy linear system residual") as exc:
+    with pytest.raises(OracleError, match="policy linear system residual"):
         evaluate_policy_discrete(canon_problem, myopic_policy(canon_problem), 0.02, grid)
-    assert exc.value.result.values.shape == grid.points.shape
 
 
 def test_slide_only_value_matches_closed_form(canon_problem):
@@ -375,7 +393,8 @@ def _per_node_policy_values(problem, policy, delta, grid):
             moves = [(d, 1.0)]
         else:
             lo, hi = region.low_target, region.high_target
-            rho = make_split_signal(d, lo, hi).prob_high
+            beta0, beta1 = make_split_signal(d, lo, hi)
+            rho = d * beta1 + (1.0 - d) * beta0
             c[i] = (1.0 - rho) * problem.payoff.value(lo) + rho * problem.payoff.value(hi)
             moves = [(lo, 1.0 - rho), (hi, rho)]
         for target, mass in moves:

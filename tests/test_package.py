@@ -37,12 +37,6 @@ def test_package_root_holds_only_the_version():
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Public names whose program caller is still to come.
-AWAITING_A_CALLER = {
-    # ROADMAP item 7: `persuade verify` reads a solution file back through it.
-    "persuade.solver.solution_from_dict",
-}
-
 
 def _program_texts():
     """(path from the repo root, text) of each source module, demo, benchmark script and pyproject.toml."""
@@ -66,7 +60,7 @@ def test_public_functions_have_a_program_caller():
         own = os.path.join("src", *module.split(".")) + ".py"
         for name in mod.__all__:
             qualname = f"{module}.{name}"
-            if inspect.isclass(getattr(mod, name)) or qualname in AWAITING_A_CALLER:
+            if inspect.isclass(getattr(mod, name)):
                 continue
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(text) for path, text in texts if path != own):

@@ -39,6 +39,8 @@ def test_default_period_scales_with_rates(canon_problem):
     {"initial_belief": -0.1}, {"horizon": 10**7 + 1}, {"n_paths": 10**7 + 1},
     {"seed": -1}, {"horizon": 100.5}, {"n_paths": 10.5}, {"seed": 1.5},
     {"horizon": True}, {"n_paths": True}, {"seed": False},
+    {"delta": True}, {"initial_belief": True}, {"delta": "0.01"}, {"delta": None},
+    {"initial_belief": "0.5"}, {"initial_belief": None},
 ])
 def test_config_validation(kwargs):
     base = {"delta": 0.01, "horizon": 100, "n_paths": 10, "seed": 0,
@@ -46,6 +48,13 @@ def test_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(OutOfRange):
         SimConfig(**base)
+
+
+def test_config_accepts_numpy_floats_and_an_infinite_period():
+    # numpy floats are floats; an infinite period is a one-period game, which
+    # `persuade simulate --delta inf` runs.
+    SimConfig(delta=np.float64(0.01), horizon=10, n_paths=1, seed=0, initial_belief=np.float64(0.3))
+    SimConfig(delta=math.inf, horizon=1, n_paths=1, seed=0, initial_belief=0.5)
 
 
 def test_sized_horizon_ceiling(canon_problem):

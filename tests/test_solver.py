@@ -24,7 +24,6 @@ from persuade.solver import (
     ValueSegment,
     _find_cutoff,
     _solve_above_interval,
-    solution_from_dict,
     solve,
     verify_solution,
 )
@@ -37,6 +36,7 @@ from conftest import (
     SINGLE_DISC_RAW,
     canon_variant,
     random_instance,
+    solution_from_dict,
 )
 
 # p* = 0.9 inside the top payoff interval [0.8, 1].
@@ -959,10 +959,10 @@ def test_grouped_evaluation_matches_masked_reference():
             assert got.tobytes() == masked_evaluate(value, p, side, method).tobytes()
 
 
-def many_step_problem(n_steps):
-    """Uniform cuts with levels g(c) = 1 - (1 - c)^2 at the left cuts; p* = 0.37, mu = 0.5."""
+def many_step_problem(n_steps, mu=0.5):
+    """Uniform cuts with levels g(c) = 1 - (1 - c)^2 at the left cuts; p* = 0.37, Lambda = 1."""
     cuts = np.linspace(0.0, 1.0, n_steps + 1)
-    return parse_problem({"lambda0": 0.37, "lambda1": 0.63, "r": 0.5, "cuts": cuts.tolist(),
+    return parse_problem({"lambda0": 0.37, "lambda1": 0.63, "r": mu, "cuts": cuts.tolist(),
                           "levels": (1.0 - (1.0 - cuts[:-1]) ** 2).tolist()})
 
 
@@ -986,3 +986,27 @@ def test_many_steps_verify_clean_with_work_flat_in_steps(monkeypatch):
         assert report.ok, [dataclasses.astuple(v) for v in report.violations[:5]]
         counts.append(len(lookups))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.5, 5.0])
+def test_many_steps_approach_silence_for_the_concave_limit(mu):
+    """v_N <= V_slide[g], and N sup|v_N - V_slide[g]| is flat in N = 100, 1000, 10^4.
+
+    u_N <= g for the concave, nondecreasing g(p) = 1 - (1 - p)^2, and silence
+    is optimal for a concave flow, so v_N <= V_slide[g], the value of never
+    disclosing under g.  That value is closed-form: with A = 1 - p* and
+    B = p - p*, (1 - m_t)^2 = (A - B s)^2 and the weight mu s^(mu - 1) ds
+    give 1 - (A^2 - 2AB mu/(mu + 1) + B^2 mu/(mu + 2)).  A probe read
+    N sup|v_N - V_slide[g]| as 0.0090/0.0089/0.0089 at mu = 0.05, 0.0493 at
+    all three N at mu = 0.5 and 0.0455/0.0450/0.0449 at mu = 5: the
+    finite-action optimum converges at rate 1/N.
+    """
+    ps = np.linspace(0.0, 1.0, 101)
+    a, b = 1.0 - 0.37, ps - 0.37
+    limit = 1.0 - (a * a - 2.0 * a * b * mu / (mu + 1.0) + b * b * mu / (mu + 2.0))
+    scaled = []
+    for n_steps in (100, 1_000, 10_000):
+        gap = solve(many_step_problem(n_steps, mu)).value.value(ps) - limit
+        assert np.max(gap) <= 1e-14, (n_steps, np.max(gap))
+        scaled.append(n_steps * np.max(np.abs(gap)))
+    assert max(scaled) <= 1.05 * min(scaled), scaled
