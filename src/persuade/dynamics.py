@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 
 from .errors import OutOfRange
-from .model import MarkovRates, Problem
+from .model import Problem
 
 __all__ = [
-    "drift_map",
+    "period_law",
     "make_split_signal",
     "discounted_time_split",
 ]
@@ -39,36 +39,33 @@ def _check_belief(name: str, p: float) -> None:
         raise OutOfRange(f"{name} outside [0, 1]: {p!r}")
 
 
-def drift_map(rates: MarkovRates, delta: float) -> tuple[float, float]:
-    """Affine one-period no-information drift (a, b): p -> a + b p.
+def _check_period(delta: float) -> None:
+    if not delta > 0.0:
+        raise OutOfRange(f"period length must be positive, got {delta!r}")
+
+
+def period_law(problem: Problem, delta: float) -> tuple[float, float, float]:
+    """Silent drift p -> a + b p and discount factor x = e^{-r delta} of one period.
 
     With mix = 1 - e^{-Lambda delta} (from expm1, so exact to rounding at any
     Lambda delta) the chain switches 0->1 within a period with probability
     a = p* mix and 1->0 with probability (1 - p*) mix, so a prior p drifts to
     p (1 - (1 - p*) mix) + (1 - p) a = a + b p, the silent drift
     p* + (p - p*) e^{-Lambda delta} after one period.  The period length must
-    be positive, which NaN is not.
-    """
-    if not delta > 0.0:
-        raise OutOfRange(f"period length must be positive, got {delta!r}")
-    p_star = rates.stationary_belief
-    mix = -math.expm1(-rates.switch_rate * delta)
-    a = p_star * mix
-    return a, (1.0 - (1.0 - p_star) * mix) - a
-
-
-def _discount_factor(problem: Problem, delta: float) -> float:
-    """Per-period discount factor x = e^{-r delta}; OutOfRange when it rounds to 1.
-
-    At x = 1 the period payoff weight 1 - x is zero: value iteration and the
-    policy's linear system have no unique solution, and no horizon bounds a
+    be positive, which NaN is not, and OutOfRange is raised when x rounds to
+    1: the payoff weight 1 - x is then zero, value iteration and the policy's
+    linear system have no unique solution, and no horizon bounds a
     simulation's truncation.
     """
+    _check_period(delta)
+    p_star = problem.stationary_belief
+    mix = -math.expm1(-problem.rates.switch_rate * delta)
+    a = p_star * mix
     x = math.exp(-problem.discounting.r * delta)
     if x == 1.0:
         raise OutOfRange(f"period length {delta!r} is too short: the discount factor "
                          "exp(-r delta) rounds to 1")
-    return x
+    return a, (1.0 - (1.0 - p_star) * mix) - a, x
 
 
 def make_split_signal(q: float, a: float, b: float) -> tuple[float, float]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import OracleError, OutOfRange
 from .model import Problem, _locate
-from .dynamics import _discount_factor, drift_map
+from .dynamics import period_law
 from .solver import MarkovPolicy, PolicyRegion
 
 __all__ = [
@@ -168,10 +168,9 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
     the sup-norm change of the plain iterates.  OracleError is raised after
     _MAX_ITER steps.
     """
-    a, b = drift_map(problem.rates, delta)
+    a, b, x = period_law(problem, delta)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRange(f"tolerance must be finite and non-negative, got {tol!r}")
-    x = _discount_factor(problem, delta)
     pts = grid.points
     u = problem.payoff.value(pts)
     drifted = a + b * pts
@@ -202,7 +201,7 @@ def contact_gap(problem: Problem, result: OracleResult) -> np.ndarray:
     """
     pts = result.grid.points
     hull, phi = _bellman_step(pts, problem.payoff.value(pts), result.values,
-                              _discount_factor(problem, result.delta), pts)
+                              period_law(problem, result.delta)[2], pts)
     return hull - phi
 
 
@@ -330,8 +329,7 @@ def evaluate_policy_discrete(problem: Problem, policy: MarkovPolicy, delta: floa
     linearly interpolated, which is exact whenever the policy's split
     targets are grid points.
     """
-    a, b = drift_map(problem.rates, delta)
-    x = _discount_factor(problem, delta)
+    a, b, x = period_law(problem, delta)
     pts = grid.points
     n = pts.size
     drifted = a + b * pts

@@ -9,7 +9,7 @@ drifts by one no-information step, the policy acts at the drifted belief
 (a split draws the message conditionally on the true state), and the
 period payoff (1 - x) x^n u(belief) accrues at the post-message belief.
 Flips and drift follow one law, the chain's exact period embedding
-p -> a + b p (dynamics.drift_map): P(0->1) = a and P(1->0) = 1 - a - b, so
+p -> a + b p (dynamics.period_law): P(0->1) = a and P(1->0) = 1 - a - b, so
 a path's belief is the exact posterior of its simulated state.
 Period weights (1 - x) x^n, n = 0, 1, ..., sum to one over an infinite
 horizon; a run credits the periods past its horizon at the lowest level, so
@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import OutOfRange, SimulationError
 from .model import Problem, _integer, _is_number
-from .dynamics import _discount_factor, drift_map, make_split_signal
+from .dynamics import _check_period, make_split_signal, period_law
 from .solver import MarkovPolicy, Solution
 
 __all__ = [
@@ -119,8 +119,7 @@ def sized_horizon(problem: Problem, delta: float) -> int:
     A flat payoff has no truncation error at any horizon; it gets 100 periods.
     Raises OutOfRange when more than MAX_HORIZON periods would be needed.
     """
-    if not delta > 0.0:
-        raise OutOfRange(f"period length must be positive, got {delta!r}")
+    _check_period(delta)
     levels = problem.payoff.levels
     if max(levels) - min(levels) <= 0.0:
         return 100
@@ -141,15 +140,19 @@ class SimConfig:
     initial_belief: float
 
     def __post_init__(self) -> None:
-        # Numbers only: a bool compares like 0 or 1, a string raises a bare TypeError.
-        # An infinite period, which makes a one-period game, stays accepted.
-        if not (_is_number(self.delta) or self.delta == math.inf) or not self.delta > 0.0:
-            raise OutOfRange(f"period length must be positive, got {self.delta!r}")
+        # Numbers only: a bool compares like 0 or 1, a string raises a bare
+        # TypeError, an int beyond float range overflows later; any float goes
+        # on to the range checks.  An infinite period, a one-period game, stays accepted.
+        if not (isinstance(self.delta, float) or _is_number(self.delta)):
+            raise OutOfRange(f"period length must be a number, got {self.delta!r}")
+        _check_period(self.delta)
         if not 1 <= _integer("horizon", self.horizon) <= MAX_HORIZON:
             raise OutOfRange(f"horizon must be 1 to {MAX_HORIZON} periods, got {self.horizon!r}")
         if not 1 <= _integer("n_paths", self.n_paths) <= MAX_PATHS:
             raise OutOfRange(f"need 1 to {MAX_PATHS} paths, got {self.n_paths!r}")
-        if not (_is_number(self.initial_belief) and 0.0 <= self.initial_belief <= 1.0):
+        if not (isinstance(self.initial_belief, float) or _is_number(self.initial_belief)):
+            raise OutOfRange(f"initial belief must be a number, got {self.initial_belief!r}")
+        if not 0.0 <= self.initial_belief <= 1.0:
             raise OutOfRange(f"initial belief outside [0, 1]: {self.initial_belief!r}")
         if not _integer("seed", self.seed) >= 0:
             raise OutOfRange(f"seed must be non-negative, got {self.seed!r}")
@@ -247,7 +250,7 @@ def _belief_table(problem: Problem, policy: MarkovPolicy, config: SimConfig) -> 
     every target, so a policy that moves the belief outside [0, 1] raises
     OutOfRange here, before any path is drawn.
     """
-    drift0, drift_slope = drift_map(problem.rates, config.delta)
+    drift0, drift_slope, _ = period_law(problem, config.delta)
     chains: dict[float, list[float]] = {}
     splits = {}  # atom -> (low, high) targets, (beta0, beta1) of its split
     pending = [float(config.initial_belief)]
@@ -476,7 +479,7 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     """
     if not max_tail > 0.0:
         raise OutOfRange(f"max_tail must be positive, got {max_tail!r}")
-    x = _discount_factor(problem, config.delta)
+    x = period_law(problem, config.delta)[2]
     levels = problem.payoff.levels
     tail_weight = x ** config.horizon
     tail_bound = tail_weight * (max(levels) - min(levels))

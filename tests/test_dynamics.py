@@ -9,11 +9,11 @@ import pytest
 
 from persuade.dynamics import (
     discounted_time_split,
-    drift_map,
     make_split_signal,
+    period_law,
 )
 from persuade.errors import OutOfRange
-from persuade.model import MarkovRates
+from persuade.model import Discounting, MarkovRates, Problem, StepPayoff
 
 from conftest import slide_reach_time
 
@@ -26,8 +26,13 @@ def continuous_drift(rates, p, t):
     return p_star + (p - p_star) * math.exp(-rates.switch_rate * t)
 
 
+def on_rates(rates):
+    """A flat-payoff problem on the given rates: the drift depends on nothing else."""
+    return Problem(rates, Discounting(1.0), StepPayoff((0.0, 1.0), (0.6,)))
+
+
 def drift(rates, p, delta):
-    a, b = drift_map(rates, delta)
+    a, b = period_law(on_rates(rates), delta)[:2]
     return a + b * p
 
 
@@ -67,7 +72,7 @@ def test_drift_map_keeps_precision_at_short_periods(total):
     rates = MarkovRates(total / 0.02, total / 0.02)
     t = rates.switch_rate * 0.01
     mix = math.fsum((-1.0) ** (k + 1) * t ** k / math.factorial(k) for k in range(1, 20))
-    a, b = drift_map(rates, 0.01)
+    a, b = period_law(on_rates(rates), 0.01)[:2]
     assert a == pytest.approx(0.5 * mix, rel=1e-15, abs=0.0)
     assert a + b == pytest.approx(1.0 - 0.5 * mix, rel=1e-15, abs=0.0)
 
@@ -76,7 +81,7 @@ def test_drift_argument_checks():
     rates = MarkovRates(1.0, 1.0)
     for delta in (0.0, -0.1, math.nan):
         with pytest.raises(OutOfRange, match="period length must be positive"):
-            drift_map(rates, delta)
+            period_law(on_rates(rates), delta)
 
 
 # --- binary splits ------------------------------------------------------------

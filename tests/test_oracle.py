@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from persuade import oracle
-from persuade.dynamics import drift_map, make_split_signal
+from persuade.dynamics import make_split_signal, period_law
 from persuade.errors import OracleError, OutOfRange
 from persuade.model import parse_problem
 from persuade.oracle import (
@@ -376,7 +376,7 @@ def _per_node_policy_values(problem, policy, delta, grid):
     x = math.exp(-problem.discounting.r * delta)
     pts = grid.points
     n = pts.size
-    a, b = drift_map(problem.rates, delta)
+    a, b = period_law(problem, delta)[:2]
 
     def entries(q):
         j = min(max(int(np.searchsorted(pts, q, side="right")) - 1, 0), n - 2)

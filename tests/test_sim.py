@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from persuade import sim
-from persuade.dynamics import drift_map
+from persuade.dynamics import period_law
 from persuade.errors import OutOfRange, SimulationError
 from persuade.model import parse_problem
 from persuade.oracle import full_disclosure_policy, myopic_policy, slide_only_policy
@@ -48,6 +48,26 @@ def test_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(OutOfRange):
         SimConfig(**base)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"delta": True}, "period length must be a number, got True"),
+    ({"delta": "0.01"}, "period length must be a number, got '0.01'"),
+    ({"delta": None}, "period length must be a number, got None"),
+    ({"delta": 10**400}, "period length must be a number, got 1000"),
+    ({"delta": math.nan}, "period length must be positive, got nan"),
+    ({"delta": -math.inf}, "period length must be positive, got -inf"),
+    ({"initial_belief": True}, "initial belief must be a number, got True"),
+    ({"initial_belief": "0.5"}, "initial belief must be a number, got '0.5'"),
+    ({"initial_belief": None}, "initial belief must be a number, got None"),
+    ({"initial_belief": math.nan}, "initial belief outside [0, 1]: nan"),
+])
+def test_config_names_the_defect(kwargs, message):
+    base = {"delta": 0.01, "horizon": 100, "n_paths": 10, "seed": 0,
+            "initial_belief": 0.5}
+    with pytest.raises(OutOfRange) as exc:
+        SimConfig(**dict(base, **kwargs))
+    assert str(exc.value).startswith(message)
 
 
 def test_config_accepts_numpy_floats_and_an_infinite_period():
@@ -152,7 +172,7 @@ def _reference_states(problem, config, state_rng):
     is its initial state XOR the parity of its flips so far.
     """
     n_paths, horizon, block = config.n_paths, config.horizon, sim._BLOCK
-    drift0, drift_slope = drift_map(problem.rates, config.delta)
+    drift0, drift_slope = period_law(problem, config.delta)[:2]
     prob_up, prob_down = drift0, 1.0 - drift0 - drift_slope
 
     def holding_times(state):
@@ -203,7 +223,7 @@ def _event_beliefs(problem, policy, config, states, flips, message_rng):
     The paths that split in a round draw one uniform each, in path order.
     """
     n_paths, horizon, block = config.n_paths, config.horizon, sim._BLOCK
-    drift0, drift_slope = drift_map(problem.rates, config.delta)
+    drift0, drift_slope = period_law(problem, config.delta)[:2]
     level = problem.payoff.value
     splits = np.array([r.action == "split" for r in policy.regions])
     lows = np.array([r.low_target if r.action == "split" else np.nan for r in policy.regions])
@@ -367,7 +387,7 @@ def test_silent_policy_tallies_match_per_period_loop(canon_problem, p0):
                        initial_belief=p0)
     res = simulate(canon_problem, slide_only_policy(canon_problem), config)
     states, _ = _reference_states(canon_problem, config, _chunk_generators(config)[0])
-    drift0, drift_slope = drift_map(canon_problem.rates, config.delta)
+    drift0, drift_slope = period_law(canon_problem, config.delta)[:2]
     beliefs = np.empty((config.horizon, config.n_paths))
     belief = np.full(config.n_paths, p0)
     for n in range(config.horizon):

@@ -702,6 +702,27 @@ def test_verify_flags_line_tent(canon_problem, canon_solution):
     assert rep.max_residual_deficit == pytest.approx(1.93, abs=5e-3)
 
 
+def arc_tent(solution, height, lo=0.62, peak=0.63, hi=0.64):
+    """The value with its slide arc over [lo, hi] swapped for two chords, `height` above it at peak."""
+    segs = solution.value.segments
+    i = next(i for i, s in enumerate(segs) if s.kind == "slide_arc" and s.lo < lo < hi < s.hi)
+    arc = segs[i]
+    v = {p: float(arc.at(p)[0]) for p in (lo, peak, hi)}
+    tent = (dataclasses.replace(arc, hi=lo),
+            chord(lo, v[lo], peak, v[peak] + height), chord(peak, v[peak] + height, hi, v[hi]),
+            ValueSegment.slide_arc(hi, arc.hi, arc.level, v[hi], arc.center, arc.exponent))
+    return dataclasses.replace(solution, value=PiecewiseValue(segs[:i] + tent + segs[i + 1:]))
+
+
+@pytest.mark.parametrize("height", [1e-4, 1e-6, 1e-8])
+def test_verify_flags_tent_inside_slide_arc(canon_problem, canon_solution, height):
+    # At the two lower heights every kink of the tent is concave, so no shape
+    # rule fires; the right balance residual still does.
+    rep = verify_solution(canon_problem, arc_tent(canon_solution, height))
+    assert not rep.ok
+    assert [v.belief for v in rep.violations if v.condition == "balance_right"] == [0.62, 0.63]
+
+
 def test_verify_flags_convex_segment(canon_problem, canon_solution):
     rep = verify_solution(canon_problem, dataclasses.replace(canon_solution,
                                                              value=PiecewiseValue(CONVEX_ARC)))
@@ -788,6 +809,24 @@ def test_canon_solves_at_large_mu(r):
 ])
 def test_canon_stationary_belief_near_cut(p_star):
     solve_and_verify(canon_variant(p_star))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: p* from about 1e-12 to 3e-8 below a "
+                   "cut raises 'value discontinuity' (26 of these 168)")
+def test_canon_solves_next_to_every_cut():
+    failures = []
+    for cut in (0.2, 0.4, 0.6, 0.8):
+        for gap in np.logspace(-13.0, -3.0, 21):
+            for p_star in (cut - gap, cut + gap):
+                problem = parse_problem(canon_variant(float(p_star)))
+                try:
+                    report = verify_solution(problem, solve(problem))
+                except SolverError as exc:
+                    failures.append((float(p_star), str(exc)))
+                    continue
+                if not report.ok:
+                    failures.append((float(p_star), report.violations))
+    assert not failures
 
 
 @pytest.mark.parametrize("p_star", [0.3, 0.5, 0.7])
