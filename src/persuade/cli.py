@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -69,6 +69,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _config_digest(config_path: str) -> str:
+    import hashlib      # here, not at the top: it loads OpenSSL, which only manifests need
+
     with open(config_path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 
@@ -229,6 +231,16 @@ def cmd_simulate(args) -> tuple[list, dict]:
             payload["config"] | {"policy": policy_name})
 
 
+def _convergence_order(rows: list) -> float | None:
+    """Empirical order of the value-iteration error between the last two sweep rows; None where undefined."""
+    if len(rows) < 2:
+        return None
+    (d0, e0), (d1, e1) = rows[-2][:2], rows[-1][:2]
+    if min(e0, e1) <= 0.0 or d0 == d1:
+        return None
+    return math.log(e1 / e0) / math.log(d1 / d0)
+
+
 def cmd_sweep(args) -> tuple[list, dict]:
     problem = load_problem(args.config)
     solution = solve(problem)
@@ -245,7 +257,8 @@ def cmd_sweep(args) -> tuple[list, dict]:
             float(np.max(np.abs(pol.values - v_solver))),
         ))
         runs.append({"delta": float(delta), "iterations": vi.iterations,
-                     "certified_bound": vi.bound, "policy_residual": pol.residual})
+                     "certified_bound": vi.bound, "policy_residual": pol.residual,
+                     "convergence_order": _convergence_order(rows)})
     header = ["delta", "value_iteration_sup_error", "policy_sup_error"]
     return [(args.out, _csv_text(header, rows))], {
         "deltas": list(map(float, deltas)),

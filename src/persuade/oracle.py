@@ -5,12 +5,16 @@ Independent numerical check of the closed-form solver.  The period game
 iteration over a fixed belief grid: each Bellman step forms the one-period
 payoffs phi = (1-x) u + x w on the grid, takes their upper concave hull
 (the sender may split the current belief into any Bayes-plausible pair),
-and reads the hull off at the drifted beliefs.  Values are anchored at the
-start of a period, before the drift step, to match the simulator's event
-order (drift, then split, then payoff).  Since the Bellman operator is
-monotone and shifts a constant c to x c, the last step's smallest and
-largest change bracket the fixed point (MacQueen 1966; Porteus 1971):
-iteration stops once the bracket is narrow and returns its lower end.
+and reads the hull off at the drifted beliefs.  The hull's vertices move
+little from one step to the next, so each step first hulls the last
+step's vertices, about a quarter of the grid, and keeps that hull when no
+grid point lies above it by more than the bend tolerance.  Values are
+anchored at the start of a period, before the drift step, to match the
+simulator's event order (drift, then split, then payoff).  Since the
+Bellman operator is monotone and shifts a constant c to x c, the last
+step's smallest and largest change bracket the fixed point (MacQueen 1966;
+Porteus 1971): iteration stops once the bracket is narrow and returns its
+lower end.
 
 Fixed policies are valued exactly by solving the linear system of their
 one-period transition instead of iterating, so policy values carry no
@@ -128,8 +132,8 @@ class OracleResult:
         return float(out) if isinstance(x, float) else out
 
 
-def _upper_hull(xs: np.ndarray, ys: np.ndarray):
-    """Upper concave envelope vertices of points sorted by x.
+def _upper_hull(xs: np.ndarray, ys: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
+    """Positions of the upper concave envelope's vertices among points sorted by x.
 
     Chord passes run to their fixed point: each drops every point on, below
     or within _HULL_BEND_TOL of its neighbors' chord (a run dropped at once
@@ -137,22 +141,46 @@ def _upper_hull(xs: np.ndarray, ys: np.ndarray):
     last drops at least one.  A cascade, a concave arc below both its ends,
     sheds two points a pass and takes O(n) passes; value iteration feeds
     none, as u and the hull read at the increasing drift are nondecreasing.
+
+    The passes start from the sorted positions `guess` (both ends included)
+    when given, else from all points.  A guess's hull stands if no point lies
+    above it by more than the bend threshold.  Otherwise the points above
+    join its vertices and the passes run again; after a second miss they
+    run on all points.
     """
     thr = _HULL_BEND_TOL * max(1.0, float(np.max(np.abs(ys))))
+    keep, misses = guess, 0
     while True:
-        chord = ys[:-2] + (ys[2:] - ys[:-2]) * (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2])
-        bent = (ys[1:-1] - chord) > thr
-        if bent.all():
-            return xs, ys
-        keep = np.concatenate(([True], bent, [True]))
-        xs, ys = xs[keep], ys[keep]
+        if keep is None:
+            keep, hx, hy, misses = np.arange(xs.size), xs, ys, 2
+        else:
+            hx, hy = xs[keep], ys[keep]
+        while True:
+            chord = hy[:-2] + (hy[2:] - hy[:-2]) * (hx[1:-1] - hx[:-2]) / (hx[2:] - hx[:-2])
+            bent = (hy[1:-1] - chord) > thr
+            if bent.all():
+                break
+            kept = np.concatenate(([True], bent, [True]))
+            keep, hx, hy = keep[kept], hx[kept], hy[kept]
+        if misses == 2:
+            return keep
+        above = ys > np.interp(xs, hx, hy) + thr
+        if not above.any():
+            return keep
+        misses += 1
+        above[keep] = True
+        keep = np.flatnonzero(above) if misses == 1 else None
 
 
-def _bellman_step(pts, u, w, x, beliefs):
-    """Hull of the one-period payoffs phi = (1-x) u + x w on the grid, read at beliefs; and phi."""
-    phi = (1.0 - x) * u + x * w
-    hx, hy = _upper_hull(pts, phi)
-    return np.interp(beliefs, hx, hy), phi
+def _bellman_step(pts, paid, w, x, beliefs, vertices=None):
+    """Hull of the one-period payoffs phi = paid + x w on the grid, read at beliefs; phi; its vertices.
+
+    paid is (1-x) u.  `vertices`, when given, is _upper_hull's guess at the
+    hull's vertex positions: the last step's, in value iteration.
+    """
+    phi = paid + x * w
+    keep = _upper_hull(pts, phi, vertices)
+    return np.interp(beliefs, pts[keep], phi[keep]), phi, keep
 
 
 def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
@@ -167,18 +195,25 @@ def value_iteration(problem: Problem, delta: float, grid: BeliefGrid,
     `bound` is the final bracket width; `residual` and `change_history` hold
     the sup-norm change of the plain iterates.  OracleError is raised after
     _MAX_ITER steps.
+
+    Each step's hull starts from the last step's vertices, about a quarter
+    of the grid, and takes in more points only where some grid point lies
+    above that hull (_upper_hull's guess).  Values, iteration count and
+    bound equal those of hulling all points every step, bit for bit, on
+    every instance tested.
     """
     a, b, x = period_law(problem, delta)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise OutOfRange(f"tolerance must be finite and non-negative, got {tol!r}")
     pts = grid.points
-    u = problem.payoff.value(pts)
+    paid = (1.0 - x) * problem.payoff.value(pts)
     drifted = a + b * pts
     w = np.full(pts.size, float(min(problem.payoff.levels)))
+    vertices = None
     history: list[float] = []
     threshold = tol * (1.0 - x)
     for iteration in range(1, _MAX_ITER + 1):
-        w_new, _ = _bellman_step(pts, u, w, x, drifted)
+        w_new, _, vertices = _bellman_step(pts, paid, w, x, drifted, vertices)
         step = w_new - w
         low, high = float(np.min(step)), float(np.max(step))
         history.append(max(high, -low))
@@ -200,8 +235,8 @@ def contact_gap(problem: Problem, result: OracleResult) -> np.ndarray:
     the drifted belief, strictly positive where it prefers a split.
     """
     pts = result.grid.points
-    hull, phi = _bellman_step(pts, problem.payoff.value(pts), result.values,
-                              period_law(problem, result.delta)[2], pts)
+    x = period_law(problem, result.delta)[2]
+    hull, phi, _ = _bellman_step(pts, (1.0 - x) * problem.payoff.value(pts), result.values, x, pts)
     return hull - phi
 
 

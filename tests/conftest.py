@@ -51,6 +51,9 @@ SINGLE_DISC_RAW = {
     "levels": [0.0, 1.0],
 }
 
+# p* = 0.9 inside the top payoff interval [0.8, 1].
+TOP_INTERVAL_RAW = dict(CANON_RAW, lambda0=9.0, lambda1=1.0, r=5.0)
+
 FLAT_RAW = {
     "lambda0": 1.0,
     "lambda1": 1.0,

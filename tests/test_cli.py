@@ -565,12 +565,31 @@ def test_sweep_manifest_records_each_run(tmp_path, canon_config):
     runs = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["parameters"]["runs"]
     assert [run["delta"] for run in runs] == [0.1, 0.02]
     for run in runs:
-        assert sorted(run) == ["certified_bound", "delta", "iterations", "policy_residual"]
+        assert sorted(run) == ["certified_bound", "convergence_order", "delta", "iterations",
+                               "policy_residual"]
         assert run["iterations"] >= 1
         assert 0.0 <= run["certified_bound"] <= 1e-6 * math.exp(-run["delta"])
         assert 0.0 <= run["policy_residual"] <= 1e-8
     # A shorter period discounts less per step, so value iteration needs more steps.
     assert runs[1]["iterations"] > runs[0]["iterations"]
+    # The order of the error from each period length to the next; the error is O(delta).
+    _, rows = read_csv(out)
+    errors = [float(row[1]) for row in rows]
+    assert runs[0]["convergence_order"] is None
+    assert runs[1]["convergence_order"] == math.log(errors[1] / errors[0]) / math.log(0.02 / 0.1)
+    assert 0.8 <= runs[1]["convergence_order"] <= 1.2
+
+
+@pytest.mark.parametrize("raw, deltas", [(CANON_RAW, "0.05,0.05"), (FLAT_RAW, "0.1,0.05")],
+                         ids=["repeated-delta", "flat-zero-error"])
+def test_sweep_convergence_order_is_null_where_undefined(tmp_path, raw, deltas):
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out),
+                 "--deltas", deltas, "--grid-gap", "0.01"]) == 0
+    runs = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["parameters"]["runs"]
+    assert [run["convergence_order"] for run in runs] == [None, None]
 
 
 def test_sweep_rejects_empty_delta_list(tmp_path, canon_config):

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv", [
     ["demos/simulate_policies.py", "--paths", "2000"],
     ["demos/solve_and_plot.py"],
-    ["demos/convergence_sweep.py"],
 ], ids=lambda argv: Path(argv[0]).stem)
 def test_demo_runs(argv):
     env = dict(os.environ)

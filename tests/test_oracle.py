@@ -13,6 +13,7 @@ from persuade.errors import OracleError, OutOfRange
 from persuade.model import parse_problem
 from persuade.oracle import (
     _HULL_BEND_TOL,
+    DEFAULT_TOL,
     _upper_hull,
     contact_gap,
     evaluate_policy_discrete,
@@ -24,7 +25,7 @@ from persuade.oracle import (
 )
 from persuade.solver import MarkovPolicy, PolicyRegion, solve
 
-from conftest import CANON_RAW, dp_split_mask, random_instance
+from conftest import CANON_RAW, FLAT_RAW, TOP_INTERVAL_RAW, dp_split_mask, random_instance
 
 
 # --- grids --------------------------------------------------------------------
@@ -84,7 +85,8 @@ def test_upper_hull_dominates_and_is_concave():
         xs = np.unique(rng.uniform(0.0, 1.0, size=40))
         xs[0], xs[-1] = 0.0, 1.0
         ys = rng.uniform(0.0, 1.0, size=xs.size)
-        hx, hy = _upper_hull(xs, ys)
+        keep = _upper_hull(xs, ys)
+        hx, hy = xs[keep], ys[keep]
         on_nodes = np.interp(xs, hx, hy)
         assert np.all(on_nodes >= ys - 1e-12)
         slopes = np.diff(hy) / np.diff(hx)
@@ -95,8 +97,8 @@ def test_upper_hull_dominates_and_is_concave():
 def test_upper_hull_keeps_concave_input():
     xs = np.linspace(0.0, 1.0, 21)
     ys = 1.0 - (xs - 0.4) ** 2
-    hx, hy = _upper_hull(xs, ys)
-    np.testing.assert_allclose(np.interp(xs, hx, hy), ys, atol=1e-12)
+    keep = _upper_hull(xs, ys)
+    np.testing.assert_allclose(np.interp(xs, xs[keep], ys[keep]), ys, atol=1e-12)
 
 
 def _monotone_chain_hull(xs, ys):
@@ -158,12 +160,51 @@ def _hull_cases():
 def test_upper_hull_matches_monotone_chain():
     long_runs = 0
     for name, xs, ys in _hull_cases():
-        hx, hy = _upper_hull(xs, ys)
+        keep = _upper_hull(xs, ys)
+        hx, hy = xs[keep], ys[keep]
         rx, ry = _monotone_chain_hull(xs, ys)
         np.testing.assert_array_equal(hx, rx, err_msg=name)
         np.testing.assert_array_equal(hy, ry, err_msg=name)
         long_runs += _prefilter_passes(xs, ys) > 16
     assert long_runs >= 1      # some case needs more than 16 passes
+
+
+def _misses(xs, ys, start):
+    """Points above the hull of the points at start by more than the bend threshold."""
+    keep = start[_upper_hull(xs[start], ys[start])]
+    thr = _HULL_BEND_TOL * max(1.0, float(np.max(np.abs(ys))))
+    return np.flatnonzero(ys > np.interp(xs, xs[keep], ys[keep]) + thr), keep
+
+
+def test_stale_guess_missing_a_point_gives_the_full_hull():
+    # The guess lacks one vertex of a concave arc; it lies far above the
+    # guess's hull, joins it, and the second try is the full hull.
+    xs = np.linspace(0.0, 1.0, 21)
+    ys = 1.0 - (xs - 0.4) ** 2
+    guess = np.delete(np.arange(xs.size), 7)
+    assert _misses(xs, ys, guess)[0].tolist() == [7]
+    np.testing.assert_array_equal(_upper_hull(xs, ys, guess), _upper_hull(xs, ys))
+    # Stale vertices of nearby payoffs, as value iteration carries them.
+    rng = np.random.default_rng(4)
+    for name, xs, ys in _hull_cases():
+        stale = _upper_hull(xs, ys + rng.normal(0.0, 0.01, xs.size))
+        np.testing.assert_array_equal(_upper_hull(xs, ys, stale), _upper_hull(xs, ys),
+                                      err_msg=name)
+
+
+def test_stale_guess_missing_twice_gives_the_full_hull():
+    # Bumps on a flat line, in units of the bend threshold.  The guess's
+    # hull misses points 1 and 3.  The second try drops 3 and 4 in one pass
+    # (3 lies within the threshold of the chord from 1 to 4), which leaves 3
+    # above its hull again; only the pass over all points keeps vertex 3.
+    xs = np.linspace(0.0, 1.0, 7)
+    ys = _HULL_BEND_TOL * np.array([0.0, 2.2, 0.5, 2.6, 1.6, 0.9, 0.0])
+    missed, keep = _misses(xs, ys, np.array([0, 4, 6]))
+    assert missed.tolist() == [1, 3] and keep.tolist() == [0, 4, 6]
+    missed, keep = _misses(xs, ys, np.union1d(keep, missed))
+    assert missed.tolist() == [3] and keep.tolist() == [0, 1, 6]
+    assert _upper_hull(xs, ys).tolist() == [0, 1, 3, 6]
+    np.testing.assert_array_equal(_upper_hull(xs, ys, np.array([0, 4, 6])), [0, 1, 3, 6])
 
 
 # --- value iteration ----------------------------------------------------------
@@ -282,6 +323,59 @@ def test_value_iteration_bound_is_certified(request, name, gap, delta):
     # Within the certified bound below the fixed point, and never above it.
     assert np.all(res.values >= ref.values - res.bound - 1e-12)
     assert np.all(res.values <= ref.values + 1e-12)
+
+
+def _value_iteration_all_points(problem, delta, grid, tol):
+    """value_iteration with every step's hull taken over all grid points."""
+    a, b, x = period_law(problem, delta)
+    pts = grid.points
+    u = problem.payoff.value(pts)
+    drifted = a + b * pts
+    w = np.full(pts.size, float(min(problem.payoff.levels)))
+    history = []
+    while True:
+        phi = (1.0 - x) * u + x * w
+        keep = _upper_hull(pts, phi)
+        w_new = np.interp(drifted, pts[keep], phi[keep])
+        step = w_new - w
+        low, high = float(np.min(step)), float(np.max(step))
+        history.append(max(high, -low))
+        w = w_new
+        if high - low <= tol * (1.0 - x):
+            scale = x / (1.0 - x)
+            return w + scale * low, len(history), scale * (high - low), np.array(history)
+
+
+def _vertex_cases(name):
+    """(problem, grid gap, extra grid points, delta) runs of one case."""
+    if name == "canon":     # A2's setting
+        problem = parse_problem(CANON_RAW)
+        yield problem, 2.5e-4, solve(problem).cutoffs, 1e-3
+    elif name == "flat":
+        yield parse_problem(FLAT_RAW), 1e-2, (), 0.05
+    elif name == "top_interval":
+        yield parse_problem(TOP_INTERVAL_RAW), 1e-3, (), 1e-3
+    else:
+        rng = np.random.default_rng(23)
+        for problem in [random_instance(rng) for _ in range(20)]:
+            cutoffs = solve(problem).cutoffs
+            for gap, delta in ((1e-2, 0.05), (5e-3, 0.02), (2e-3, 0.1)):
+                yield problem, gap, cutoffs, delta
+
+
+@pytest.mark.parametrize("name", ["canon", "flat", "top_interval", "random"])
+def test_carried_vertices_match_hulling_all_points(name):
+    # Starting each hull from the last step's vertices changes no output.
+    for problem, gap, extra, delta in _vertex_cases(name):
+        grid = make_grid(problem, gap, extra=extra)
+        res = value_iteration(problem, delta, grid)
+        values, iterations, bound, history = _value_iteration_all_points(
+            problem, delta, grid, DEFAULT_TOL)
+        where = (problem, gap, delta)
+        np.testing.assert_array_equal(res.values, values, err_msg=str(where))
+        assert (res.iterations, res.bound) == (iterations, bound), where
+        np.testing.assert_allclose(res.change_history, history, rtol=1e-9, atol=0.0,
+                                   err_msg=str(where))
 
 
 def test_step_limit_raises_oracle_error(canon_problem, monkeypatch):

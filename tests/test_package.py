@@ -104,9 +104,9 @@ def test_public_knobs():
     assert found == KNOBS
 
 
-def _modules_loaded_by_import_persuade():
+def _modules_loaded_by_import(module="persuade"):
     src = os.path.dirname(os.path.dirname(persuade.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r}); import persuade; "
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
             "print(' '.join(sorted(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
@@ -115,7 +115,12 @@ def _modules_loaded_by_import_persuade():
 
 def test_import_does_not_load_scipy_sparse():
     # The package needs numpy only; scipy is a test dependency.
-    assert "scipy.sparse" not in _modules_loaded_by_import_persuade()
+    assert "scipy.sparse" not in _modules_loaded_by_import()
+
+
+def test_cli_import_does_not_load_openssl():
+    # hashlib loads OpenSSL (several MB); only writing a manifest needs it.
+    assert "_hashlib" not in _modules_loaded_by_import("persuade.cli")
 
 
 # Runs with scipy blocked: any import of it raises ImportError.
@@ -151,7 +156,7 @@ def test_runtime_never_imports_scipy(tmp_path):
 
 def test_import_loads_the_library_but_not_the_cli():
     # `import persuade` is what the benchmark's import-time probe measures.
-    loaded = {name for name in _modules_loaded_by_import_persuade()
+    loaded = {name for name in _modules_loaded_by_import()
               if name.split(".")[0] == "persuade"}
     assert loaded == set(MODULES) - {"persuade.cli"}
 

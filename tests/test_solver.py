@@ -34,13 +34,11 @@ from conftest import (
     ONE_ABOVE_RAW,
     PINNED_RAW,
     SINGLE_DISC_RAW,
+    TOP_INTERVAL_RAW,
     canon_variant,
     random_instance,
     solution_from_dict,
 )
-
-# p* = 0.9 inside the top payoff interval [0.8, 1].
-TOP_INTERVAL_RAW = dict(CANON_RAW, lambda0=9.0, lambda1=1.0, r=5.0)
 
 # Value of the canon instance at selected beliefs.  Everything up to 0.6 is
 # exactly rational (chords of the endpoint recursion and the center line);
