@@ -49,8 +49,10 @@ held stretch as one weighted count and a drift run through a difference
 array, so calibration counts are exact.  Each chunk returns its path
 count, mean payoff and summed squared deviations; these are combined in
 chunk order by the pairwise update of Chan, Golub and LeVeque, so results
-are bit-identical for a given seed no matter how many worker threads run
-(one per available core by default; set PERSUADE_THREADS to override).
+are bit-identical for a given seed no matter how many workers run.  A run
+of several chunks runs them on forked worker processes, one per available
+core by default and never more than chunks (set PERSUADE_THREADS to choose
+the count); a single chunk, or a platform without fork, runs in the caller.
 The bit generator, the chunk layout, the block and the event order are
 part of the random stream: changing any of them changes the result for a
 given seed.  State paths come from their own generator, so runs with the
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -455,6 +456,22 @@ def _run_chunk(table, config, n_paths, seed_seq, cum_weights):
     return n_paths, mean, float(np.sum(np.square(totals - mean))), occupancy
 
 
+def _run_chunks(jobs: list[tuple], workers: int) -> list[tuple]:
+    """_run_chunk over jobs, in order, on `workers` forked processes where fork is available.
+
+    multiprocessing is imported here only: a single-chunk run, or a module
+    that only imports this one, does not pay for loading it.
+    """
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Leaving the block ends the workers.
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                return pool.starmap(_run_chunk, jobs, chunksize=1)
+    return [_run_chunk(*job) for job in jobs]
+
+
 def _exact_bin_sums(values: np.ndarray, counts: np.ndarray, bins: np.ndarray) -> list[float]:
     """Per-bin sum(values * counts) of beliefs in [0, 1] and integer counts, correctly rounded.
 
@@ -493,21 +510,13 @@ def simulate(problem: Problem, policy: MarkovPolicy, config: SimConfig,
     cum_weights = np.concatenate([[0.0], np.cumsum(weights)])
     n_chunks = (config.n_paths + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(config.seed).spawn(n_chunks)
-    # Even sizes (differing by at most one) keep the threads equally loaded.
+    # Even sizes (differing by at most one) keep the workers equally loaded.
     base, extra = divmod(config.n_paths, n_chunks)
     sizes = [base + (i < extra) for i in range(n_chunks)]
 
     table = _belief_table(problem, policy, config)
-
-    def job(i: int):
-        return _run_chunk(table, config, sizes[i], children[i], cum_weights)
-
-    threads = min(_thread_count(), n_chunks)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(job, range(n_chunks)))
-    else:
-        outputs = [job(i) for i in range(n_chunks)]
+    jobs = [(table, config, size, child, cum_weights) for size, child in zip(sizes, children)]
+    outputs = _run_chunks(jobs, min(_thread_count(), n_chunks))
 
     # Chan, Golub and LeVeque's pairwise update, in chunk order.
     n, mean, squares = 0, 0.0, 0.0

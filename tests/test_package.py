@@ -123,6 +123,13 @@ def test_cli_import_does_not_load_openssl():
     assert "_hashlib" not in _modules_loaded_by_import("persuade.cli")
 
 
+def test_import_loads_no_pool_machinery():
+    # simulate imports multiprocessing only when it starts workers; loading it,
+    # concurrent.futures or logging at import would cost every caller.
+    loaded = _modules_loaded_by_import()
+    assert not loaded & {"concurrent.futures", "multiprocessing", "logging"}
+
+
 # Runs with scipy blocked: any import of it raises ImportError.
 NO_SCIPY_SESSION = """
 import json, sys

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import faulthandler
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing.pool
+import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -449,26 +451,72 @@ def test_thread_count_without_affinity_reads_cpu_count(monkeypatch, cpus, thread
 
 def test_workers_capped_at_chunk_count(canon_problem, canon_solution, monkeypatch):
     # One chunk needs one worker, so it starts no pool; three chunks get three.
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool started for a single chunk")
+    workers = []
 
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    class RecordingPool(multiprocessing.pool.Pool):
+        def __init__(self, processes=None, *args, **kwargs):
+            workers.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("worker pool started for a single chunk")
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
     monkeypatch.setenv("PERSUADE_THREADS", "2")
     config = SimConfig(delta=0.01, horizon=300, n_paths=sim._CHUNK, seed=3, initial_belief=0.4)
     assert math.isfinite(simulate(canon_problem, canon_solution.policy, config).mean_discounted_payoff)
 
-    workers = []
-
-    def recording_pool(max_workers):
-        workers.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
     monkeypatch.setattr(sim, "_CHUNK", 4096)
     monkeypatch.setenv("PERSUADE_THREADS", "8")
     simulate(canon_problem, canon_solution.policy, SimConfig(
         delta=0.01, horizon=300, n_paths=9000, seed=3, initial_belief=0.4))
     assert workers == [3]
+
+
+def test_without_fork_chunks_run_inline(canon_problem, canon_solution, monkeypatch):
+    monkeypatch.setattr(sim, "_CHUNK", 4096)
+    config = SimConfig(delta=0.01, horizon=300, n_paths=9000, seed=5, initial_belief=0.4)
+    monkeypatch.setenv("PERSUADE_THREADS", "1")
+    serial = simulate(canon_problem, canon_solution.policy, config)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("worker pool started without fork")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+    monkeypatch.setenv("PERSUADE_THREADS", "3")
+    inline = simulate(canon_problem, canon_solution.policy, config)
+    assert inline.mean_discounted_payoff == serial.mean_discounted_payoff
+    assert inline.calibration == serial.calibration
+
+
+def test_no_worker_outlives_the_call(canon_problem, canon_solution, monkeypatch):
+    monkeypatch.setattr(sim, "_CHUNK", 4096)
+    monkeypatch.setenv("PERSUADE_THREADS", "3")
+    simulate(canon_problem, canon_solution.policy, SimConfig(
+        delta=0.01, horizon=300, n_paths=9000, seed=3, initial_belief=0.4))
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_reaches_the_caller(canon_problem, canon_solution, monkeypatch):
+    # The workers are forked after the patch, so they run the broken step.
+    def broken_events(*args):
+        raise SimulationError(f"chunk failed in process {os.getpid()}")
+
+    monkeypatch.setattr(sim, "_events", broken_events)
+    monkeypatch.setattr(sim, "_CHUNK", 4096)
+    monkeypatch.setenv("PERSUADE_THREADS", "2")
+    config = SimConfig(delta=0.01, horizon=300, n_paths=9000, seed=3, initial_belief=0.4)
+    # A hang fails the run after a minute instead of stalling it.
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        with pytest.raises(SimulationError, match="chunk failed in process") as info:
+            simulate(canon_problem, canon_solution.policy, config)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert int(str(info.value).split()[-1]) != os.getpid()
+    assert multiprocessing.active_children() == []
 
 
 def test_policies_share_state_paths(canon_problem, canon_solution, monkeypatch):
