@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from persuade.dynamics import discounted_time_split
 from persuade.model import Problem, parse_problem
 from persuade.oracle import OracleResult, contact_gap
 from persuade.solver import PiecewiseValue, Solution, ValueSegment, solve
@@ -89,6 +90,51 @@ def slide_reach_time(problem: Problem, p_from: float, p_to: float) -> float:
     """
     p_star = problem.stationary_belief
     return 1.0 - ((p_star - p_to) / (p_star - p_from)) ** problem.discount_ratio
+
+
+def myopic_value(problem: Problem, p):
+    """Continuous-time value of `oracle.myopic_policy` at beliefs p, in closed form.
+
+    The policy splits every interval but the top one to its ends, so its
+    value is linear between those cuts.  A belief at a cut c other than p*
+    is held there by splits until it jumps to the next cut c' toward p*:
+    V(c) = Y h + (1 - Y) V(c'), with Y = discounted_time_split(c, c') and h
+    the level at c.  The two cuts around p* jump to each other; a cut at p*,
+    or the top interval's left cut when p* lies in that interval, keeps its
+    level.  Above its left cut c_T the top interval slides toward p*:
+    V(p) = h_T + (V(c_T) - h_T) ((c_T - p*)/(p - p*))^mu.  No solver enters.
+    """
+    cuts, levels = problem.payoff.cuts, problem.payoff.levels
+    p_star, mu = problem.stationary_belief, problem.discount_ratio
+    top = len(levels) - 1                   # the top interval is [cuts[top], 1]
+    k = min(int(np.searchsorted(cuts, p_star, side="right")) - 1, top)
+
+    def wait(i, j):
+        return discounted_time_split(problem, cuts[i], cuts[j])
+
+    at = [0.0] * (top + 1)                  # V at cuts[0], ..., cuts[top]
+    if cuts[k] == p_star or k == top:
+        at[k] = levels[k]
+        first_above = k + 1
+    else:
+        y0, y1 = wait(k, k + 1), wait(k + 1, k)
+        at[k] = (y0 * levels[k] + (1.0 - y0) * y1 * levels[k + 1]) / (1.0 - (1.0 - y0) * (1.0 - y1))
+        at[k + 1] = y1 * levels[k + 1] + (1.0 - y1) * at[k]
+        first_above = k + 2
+    for i in range(k - 1, -1, -1):
+        y = wait(i, i + 1)
+        at[i] = y * levels[i] + (1.0 - y) * at[i + 1]
+    for i in range(first_above, top + 1):
+        y = wait(i, i - 1)
+        at[i] = y * levels[i] + (1.0 - y) * at[i - 1]
+
+    p = np.asarray(p, dtype=float)
+    out = np.interp(p, cuts[:top + 1], at)
+    if p_star < cuts[top]:
+        slide = p > cuts[top]
+        ratio = (cuts[top] - p_star) / (p[slide] - p_star)
+        out[slide] = levels[top] + (at[top] - levels[top]) * ratio ** mu
+    return out
 
 
 def solution_from_dict(d: dict) -> Solution:

@@ -25,7 +25,17 @@ from persuade.oracle import (
 )
 from persuade.solver import MarkovPolicy, PolicyRegion, solve
 
-from conftest import CANON_RAW, FLAT_RAW, TOP_INTERVAL_RAW, dp_split_mask, random_instance
+from conftest import (
+    CANON_RAW,
+    FLAT_RAW,
+    ONE_ABOVE_RAW,
+    PINNED_RAW,
+    SINGLE_DISC_RAW,
+    TOP_INTERVAL_RAW,
+    dp_split_mask,
+    myopic_value,
+    random_instance,
+)
 
 
 # --- grids --------------------------------------------------------------------
@@ -348,9 +358,17 @@ def _value_iteration_all_points(problem, delta, grid, tol):
 
 def _vertex_cases(name):
     """(problem, grid gap, extra grid points, delta) runs of one case."""
+    canon = parse_problem(CANON_RAW)
     if name == "canon":     # A2's setting
-        problem = parse_problem(CANON_RAW)
-        yield problem, 2.5e-4, solve(problem).cutoffs, 1e-3
+        yield canon, 2.5e-4, solve(canon).cutoffs, 1e-3
+    elif name == "cli":     # `persuade oracle` and `persuade sweep` defaults
+        for delta in (1e-3, 0.1, 0.03, 0.01, 0.003):
+            yield canon, 1e-3, solve(canon).cutoffs, delta
+    elif name == "scaled":  # the steepest slopes a carried hull reads
+        cutoffs = solve(canon).cutoffs      # levels a h + b have the same cutoffs
+        for levels in ([h * 1e8 for h in CANON_RAW["levels"]],
+                       [h - 50.0 for h in CANON_RAW["levels"]]):
+            yield parse_problem(dict(CANON_RAW, levels=levels)), 1e-3, cutoffs, 0.01
     elif name == "flat":
         yield parse_problem(FLAT_RAW), 1e-2, (), 0.05
     elif name == "top_interval":
@@ -363,19 +381,85 @@ def _vertex_cases(name):
                 yield problem, gap, cutoffs, delta
 
 
-@pytest.mark.parametrize("name", ["canon", "flat", "top_interval", "random"])
+def _assert_same_run(res, reference, where):
+    values, iterations, bound, history = reference
+    np.testing.assert_array_equal(res.values, values, err_msg=str(where))
+    assert (res.iterations, res.bound) == (iterations, bound), where
+    np.testing.assert_array_equal(res.change_history, history, err_msg=str(where))
+
+
+@pytest.mark.parametrize("name", ["canon", "cli", "scaled", "flat", "top_interval", "random"])
 def test_carried_vertices_match_hulling_all_points(name):
-    # Starting each hull from the last step's vertices changes no output.
+    # Reading the carried hull, and re-hulling from its vertices, changes no output.
     for problem, gap, extra, delta in _vertex_cases(name):
         grid = make_grid(problem, gap, extra=extra)
         res = value_iteration(problem, delta, grid)
-        values, iterations, bound, history = _value_iteration_all_points(
-            problem, delta, grid, DEFAULT_TOL)
-        where = (problem, gap, delta)
-        np.testing.assert_array_equal(res.values, values, err_msg=str(where))
-        assert (res.iterations, res.bound) == (iterations, bound), where
-        np.testing.assert_allclose(res.change_history, history, rtol=1e-9, atol=0.0,
-                                   err_msg=str(where))
+        _assert_same_run(res, _value_iteration_all_points(problem, delta, grid, DEFAULT_TOL),
+                         (problem, gap, delta))
+
+
+def _read_as_carried(xs, ys, keep, queries):
+    """The hull through (xs, ys)[keep] read at queries as value_iteration reads a carried hull."""
+    cells = np.searchsorted(xs, queries, "right") - 1
+    seg, off = oracle._segments(xs, keep, cells, queries)
+    hx = xs[keep]
+    return oracle._read_segments(ys[keep], hx[1:] - hx[:-1], seg, off)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_carried_read_is_interp_bit_for_bit(canon_problem, scale):
+    # Vertices 1e-12 apart (the left samples of the cuts), queries on every
+    # vertex, at 1 and at drifted beliefs, and levels from 1e-8 to 1e8.
+    xs = make_grid(canon_problem, 1e-2).points
+    left_samples = np.flatnonzero(np.diff(xs) < 1e-11)
+    assert left_samples.size == 4
+    ys = scale * (canon_problem.payoff.value(xs) + 0.1 * np.sin(7.0 * xs))
+    a, b, _ = period_law(canon_problem, 0.05)
+    rng = np.random.default_rng(5)
+    queries = np.concatenate([xs, a + b * xs, rng.uniform(0.0, 1.0, 500), [1.0]])
+    picks = [np.arange(xs.size), np.union1d(left_samples, left_samples + 1)]
+    picks += [np.flatnonzero(rng.uniform(size=xs.size) < share) for share in (0.5, 0.1, 0.0)]
+    for pick in picks:
+        keep = np.union1d(pick, [0, xs.size - 1])
+        got = _read_as_carried(xs, ys, keep, queries)
+        expected = np.interp(queries, xs[keep], ys[keep])
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64),
+                                      err_msg=f"{keep.size} vertices")
+
+
+def test_each_fallback_matches_hulling_all_points(monkeypatch):
+    """A carried vertex the chord test drops, and a grid point rising above the carried hull.
+
+    From a constant start the iterates only bend further, so no vertex
+    drops by itself.  On the one-above instance phi stays flat on the top
+    payoff interval [0.3, 1] and no grid point ever rises above the first
+    hull.  That hull is given an extra vertex at 0.6, which changes no value
+    read, so only the next step's chord test can drop it.  On canon, grid
+    points rise above the carried hull on several steps.
+    """
+    hull = oracle._upper_hull
+    seen = {}
+    for name, raw, extra in (("one_above", ONE_ABOVE_RAW, [0.6]), ("canon", CANON_RAW, [])):
+        problem = parse_problem(raw)
+        grid = make_grid(problem, 1e-2)
+        added = np.searchsorted(grid.points, extra)
+        kinds = seen.setdefault(name, [])
+
+        def recording(xs, ys, guess=None, added=added, kinds=kinds):
+            if guess is None:
+                kinds.append("first")
+                return np.union1d(hull(xs, ys), added)
+            hx = xs[guess]
+            bent = oracle._bent(ys[guess], hx[1:-1] - hx[:-2], hx[2:] - hx[:-2],
+                                oracle._bend_threshold(ys))
+            kinds.append("above" if bent.all() else "chord")
+            return hull(xs, ys, guess)
+
+        monkeypatch.setattr(oracle, "_upper_hull", recording)
+        res = value_iteration(problem, 0.05, grid)
+        _assert_same_run(res, _value_iteration_all_points(problem, 0.05, grid, DEFAULT_TOL), name)
+    assert seen["one_above"] == ["first", "chord"], seen
+    assert seen["canon"][0] == "first" and set(seen["canon"][1:]) == {"above"}, seen
 
 
 def test_step_limit_raises_oracle_error(canon_problem, monkeypatch):
@@ -647,6 +731,27 @@ def test_myopic_policy_structure(canon_problem):
     assert actions == ["split", "split", "split", "split", "slide"]
     assert pol.regions[0].low_target == 0.0
     assert pol.regions[3].high_target == 0.8
+
+
+@pytest.mark.parametrize("raw", [CANON_RAW, SINGLE_DISC_RAW, PINNED_RAW, ONE_ABOVE_RAW],
+                         ids=["canon", "single_disc", "pinned", "one_above"])
+def test_myopic_policy_value_converges_to_closed_form(raw):
+    """evaluate_policy_discrete(myopic) -> V_myopic at first order in delta.
+
+    Grid gap 1e-3, delta = 0.01 and 0.005; no solver value enters.  Measured:
+    sup|w_delta - V_myopic| / spread between 0.23 and 0.71 delta, and the
+    error ratio e(0.01) / e(0.005) within [1.998, 2.001].
+    """
+    problem = parse_problem(raw)
+    grid = make_grid(problem, 1e-3)
+    exact = myopic_value(problem, grid.points)
+    levels = problem.payoff.levels
+    errors = []
+    for delta in (0.01, 0.005):
+        w = evaluate_policy_discrete(problem, myopic_policy(problem), delta, grid).values
+        errors.append(float(np.max(np.abs(w - exact))) / (levels[-1] - levels[0]))
+        assert errors[-1] <= 1.0 * delta, (delta, errors[-1])
+    assert 1.9 <= errors[0] / errors[1] <= 2.1, errors
 
 
 def test_myopic_policy_flat_slides(flat_problem):
